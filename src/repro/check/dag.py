@@ -67,12 +67,11 @@ class DagNode:
 
     def shifted(self, start: float, end: float, issue: float) -> "DagNode":
         """A copy of this node rescheduled to new times (what-if replay)."""
-        return DagNode(
-            op_id=self.op_id, kind=self.kind, label=self.label,
-            start=start, end=end, issue=issue, nbytes=self.nbytes,
-            streams=self.streams, engines=self.engines, deps=self.deps,
-            host_dep=self.host_dep, host_gap=self.host_gap, cost=self.cost,
-        )
+        # a replay builds one node per op: copying the field dict skips
+        # the frozen-dataclass __init__ and its per-field setattr calls
+        new = object.__new__(DagNode)
+        new.__dict__.update(self.__dict__, start=start, end=end, issue=issue)
+        return new
 
 
 def dag_to_json(nodes: Iterable[DagNode]) -> list[dict[str, Any]]:

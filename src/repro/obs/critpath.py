@@ -27,6 +27,12 @@ Three analyses build on the DAG:
   host behaviour fixed, and report predicted speedups plus the link
   speed at which the bottleneck flips from transfer- to compute-bound.
 
+Each analysis compiles the DAG once into flat per-op lists
+(:class:`_CompiledDag`) and runs one scheduling loop over them;
+:func:`replay` (scenario durations) and :func:`replay_machine` (durations
+on another :class:`MachineSpec`) differ only in the per-op durations and
+host-gap scale they feed it.
+
 When a run carries only a trace (no checker, hence no DAG),
 :meth:`RunDag.from_trace` reconstructs a coarser DAG from stream and
 lane FIFO order alone — good enough for the critical path and the
@@ -36,7 +42,9 @@ cannot explain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Any, Iterable, Sequence
 
 from ..check.dag import DagNode, dag_from_json
@@ -209,7 +217,151 @@ class RunDag:
         return cls.from_nodes(nodes, marks=marks)
 
 
+# -- the compiled DAG --------------------------------------------------------
+
+class _CompiledDag:
+    """A DAG flattened once into per-op lists, in op-id order.
+
+    Every analysis below — the replay's scheduling rule, the
+    critical-path walk, the what-if panel — runs over these lists
+    instead of re-reading :class:`DagNode` fields and id dictionaries.
+    Ops are addressed by position; position ``n`` (one past the last op)
+    is a sentinel whose end time is always ``0.0``, the value the
+    scheduling rule reads for an edge to an op that is absent or not yet
+    scheduled (the same or a later op id).  Op ids are assumed unique,
+    as the hazard checker assigns them.
+    """
+
+    def __init__(self, nodes: Iterable[DagNode]) -> None:
+        self.nodes = sorted(nodes, key=lambda x: x.op_id)
+        n = len(self.nodes)
+        index = {node.op_id: i for i, node in enumerate(self.nodes)}.get
+        #: ordering-edge predecessors, in recorded order (sentinel kept)
+        self.deps: list[tuple[int, ...]] = []
+        #: the op the host last blocked on before each issue
+        self.host_deps: list[int] = []
+        for i, node in enumerate(self.nodes):
+            self.deps.append(tuple([
+                j if (j := index(d, n)) < i else n for d, _kind in node.deps
+            ]))
+            host = index(node.host_dep, n)
+            self.host_deps.append(host if host < i else n)
+        self.host_gaps = [node.host_gap for node in self.nodes]
+
+    @cached_property
+    def preds(self) -> list[tuple[int, ...]]:
+        """Per op: the predecessors the critical-path walk may step to."""
+        n = len(self.nodes)
+        return [
+            tuple(j for j in deps + (host,) if j < n)
+            for deps, host in zip(self.deps, self.host_deps)
+        ]
+
+    @cached_property
+    def categories(self) -> list[str]:
+        return [categorize(node) for node in self.nodes]
+
+    @cached_property
+    def durations(self) -> list[float]:
+        """Recorded durations."""
+        return [node.duration for node in self.nodes]
+
+    @cached_property
+    def transfer(self) -> list[bool]:
+        return [node.kind in TRANSFER_KINDS for node in self.nodes]
+
+    @cached_property
+    def evict(self) -> list[bool]:
+        return [node.label.startswith("evict:") for node in self.nodes]
+
+    def schedule(
+        self, durations: Sequence[float], gap_scale: float
+    ) -> tuple[list[float], list[float], list[float]]:
+        """The one scheduling rule; returns (starts, ends, issues).
+
+        ``issue' = max(previous issue', end'(host_dep)) + host_gap *
+        gap_scale`` and ``start' = max(issue', ordering-edge ends')``,
+        with ``end' = start' + durations[i]``.  Every replay — what-if
+        scenarios and the machine surrogate — differs only in the
+        per-op ``durations`` and the host-gap scale it passes here.
+        """
+        n = len(self.nodes)
+        ends = [0.0] * (n + 1)          # ends[n] is the sentinel
+        starts = [0.0] * n
+        issues = [0.0] * n
+        issue = 0.0
+        for i, (host, gap, deps, dur) in enumerate(
+            zip(self.host_deps, self.host_gaps, self.deps, durations)
+        ):
+            host_end = ends[host]
+            issue = (host_end if host_end > issue else issue) + gap * gap_scale
+            start = issue
+            for j in deps:
+                if ends[j] > start:
+                    start = ends[j]
+            starts[i] = start
+            issues[i] = issue
+            ends[i] = start + dur
+        ends.pop()
+        return starts, ends, issues
+
+    def path(
+        self, starts: Sequence[float], ends: Sequence[float]
+    ) -> list[tuple[float, float, int, str]]:
+        """The critical path of a schedule, in time order.
+
+        Each entry is ``(start, end, i, gap)``: ``gap`` is ``""`` for op
+        ``i`` itself, ``"issue"`` for the host time before the path's
+        first op, and ``"wait"`` for the host time op ``i`` spent
+        waiting to issue after its binding predecessor finished.
+        """
+        t0 = min(starts)
+        last = max(ends)
+        cur = len(ends) - 1 - ends[::-1].index(last)   # latest end, then id
+        out: list[tuple[float, float, int, str]] = []
+        while True:
+            out.append((starts[cur], ends[cur], cur, ""))
+            preds = self.preds[cur]
+            if not preds:
+                if starts[cur] > t0:
+                    out.append((t0, starts[cur], cur, "issue"))
+                break
+            binding = preds[0]
+            for j in preds:
+                if ends[j] > ends[binding] or (
+                    ends[j] == ends[binding] and j > binding
+                ):
+                    binding = j
+            if starts[cur] > ends[binding]:
+                out.append((ends[binding], starts[cur], cur, "wait"))
+            cur = binding
+        out.reverse()
+        return out
+
+
 # -- critical path ----------------------------------------------------------
+
+def _critical_path(dag: _CompiledDag) -> list[PathSegment]:
+    if not dag.nodes:
+        return []
+    segments: list[PathSegment] = []
+    starts = [node.start for node in dag.nodes]
+    ends = [node.end for node in dag.nodes]
+    for start, end, i, gap in dag.path(starts, ends):
+        node = dag.nodes[i]
+        if not gap:
+            segments.append(PathSegment(
+                start=start, end=end, category=dag.categories[i],
+                label=node.label, op_id=node.op_id,
+            ))
+        else:
+            label = ("(issue)" if gap == "issue"
+                     else f"(waiting to issue {node.label})")
+            segments.append(PathSegment(
+                start=start, end=end, category="host", label=label,
+            ))
+    return segments
+
 
 def critical_path(nodes: Sequence[DagNode]) -> list[PathSegment]:
     """The chain of operations that bound the end-to-end time.
@@ -223,37 +375,7 @@ def critical_path(nodes: Sequence[DagNode]) -> list[PathSegment]:
     a ``"host"`` segment.  The returned segments tile ``[t0, t_end]``
     exactly, so their durations sum to the wall time.
     """
-    if not nodes:
-        return []
-    by_id = {n.op_id: n for n in nodes}
-    t0 = min(n.start for n in nodes)
-    sink = max(nodes, key=lambda n: (n.end, n.op_id))
-    segments: list[PathSegment] = []
-    cur = sink
-    while True:
-        segments.append(PathSegment(
-            start=cur.start, end=cur.end, category=categorize(cur),
-            label=cur.label, op_id=cur.op_id,
-        ))
-        preds = [by_id[d] for d, _kind in cur.deps if d in by_id]
-        if cur.host_dep is not None and cur.host_dep in by_id:
-            preds.append(by_id[cur.host_dep])
-        preds = [p for p in preds if p.op_id < cur.op_id]
-        if not preds:
-            if cur.start > t0:
-                segments.append(PathSegment(
-                    start=t0, end=cur.start, category="host", label="(issue)",
-                ))
-            break
-        binding = max(preds, key=lambda p: (p.end, p.op_id))
-        if cur.start > binding.end:
-            segments.append(PathSegment(
-                start=binding.end, end=cur.start, category="host",
-                label=f"(waiting to issue {cur.label})",
-            ))
-        cur = binding
-    segments.reverse()
-    return segments
+    return _critical_path(_CompiledDag(nodes))
 
 
 def attribution(segments: Sequence[PathSegment]) -> dict[str, float]:
@@ -311,34 +433,39 @@ def overlap_report(dag: RunDag) -> list[dict[str, Any]]:
     """
     if not dag.nodes:
         return []
+    t_end = dag.t_end
     bounds = [dag.t0]
     for ts in dag.iteration_marks:
-        if bounds[-1] < ts < dag.t_end:
+        if bounds[-1] < ts < t_end:
             bounds.append(ts)
-    bounds.append(dag.t_end)
+    bounds.append(t_end)
+    windows = len(bounds) - 1
+    compute = [0.0] * windows
+    transfer = [0.0] * windows
+    # one pass in op order: each node adds its clipped time to the
+    # windows it spans, so every window sums its nodes in op order
+    for n in dag.nodes:
+        sums = transfer if n.kind in TRANSFER_KINDS else compute
+        first = max(bisect_right(bounds, n.start) - 1, 0)
+        for i in range(first, min(bisect_left(bounds, n.end), windows)):
+            clip = min(n.end, bounds[i + 1]) - max(n.start, bounds[i])
+            if clip <= 0:
+                continue
+            sums[i] += clip
     rows: list[dict[str, Any]] = []
-    for i in range(len(bounds) - 1):
+    for i in range(windows):
         lo, hi = bounds[i], bounds[i + 1]
         if hi <= lo:
             continue
-        compute = transfer = 0.0
-        for n in dag.nodes:
-            clip = min(n.end, hi) - max(n.start, lo)
-            if clip <= 0:
-                continue
-            if n.kind in TRANSFER_KINDS:
-                transfer += clip
-            else:
-                compute += clip
         wall = hi - lo
-        ideal = max(compute, transfer)
-        ideal_overlap = min(compute, transfer)
-        achieved = max(0.0, compute + transfer - wall)
+        ideal = max(compute[i], transfer[i])
+        ideal_overlap = min(compute[i], transfer[i])
+        achieved = max(0.0, compute[i] + transfer[i] - wall)
         rows.append({
             "iteration": i,
             "wall_s": wall,
-            "compute_s": compute,
-            "transfer_s": transfer,
+            "compute_s": compute[i],
+            "transfer_s": transfer[i],
             "ideal_s": ideal,
             "achieved_overlap_s": achieved,
             "ideal_overlap_s": ideal_overlap,
@@ -380,22 +507,41 @@ WHATIF_SCENARIOS = (
 )
 
 
-def _scaled_duration(
-    node: DagNode, scenario: Scenario, machine: MachineSpec
-) -> float:
-    dur = node.duration
-    if scenario.drop_writebacks and node.label.startswith("evict:"):
-        return 0.0
-    if node.kind in TRANSFER_KINDS:
-        if scenario.link_factor != 1.0:
-            lat = min(machine.link.latency, dur)
-            dur = lat + (dur - lat) / scenario.link_factor
-        return dur
-    if scenario.kernel_factor != 1.0:
-        dur = dur / scenario.kernel_factor
-    if scenario.zero_launch:
-        dur = max(0.0, dur - machine.gpu.kernel_launch_overhead)
-    return dur
+def _scenario_durations(
+    dag: _CompiledDag, scenario: Scenario, machine: MachineSpec
+) -> list[float]:
+    """Per-op durations under ``scenario`` (recorded ones, rescaled)."""
+    latency = machine.link.latency
+    launch = machine.gpu.kernel_launch_overhead
+    out: list[float] = []
+    for dur, transfer, evict in zip(dag.durations, dag.transfer, dag.evict):
+        if scenario.drop_writebacks and evict:
+            dur = 0.0
+        elif transfer:
+            if scenario.link_factor != 1.0:
+                lat = min(latency, dur)
+                dur = lat + (dur - lat) / scenario.link_factor
+        else:
+            if scenario.kernel_factor != 1.0:
+                dur = dur / scenario.kernel_factor
+            if scenario.zero_launch:
+                dur = max(0.0, dur - launch)
+        out.append(dur)
+    return out
+
+
+def _replayed(
+    dag: _CompiledDag, durations: Sequence[float], gap_scale: float
+) -> tuple[list[DagNode], float]:
+    """Schedule ``dag`` with these inputs; the rescheduled nodes + makespan."""
+    if not dag.nodes:
+        return [], 0.0
+    starts, ends, issues = dag.schedule(durations, gap_scale)
+    out = [
+        n.shifted(start=start, end=end, issue=issue)
+        for n, start, end, issue in zip(dag.nodes, starts, ends, issues)
+    ]
+    return out, max(ends) - min(starts)
 
 
 def replay(
@@ -416,23 +562,8 @@ def replay(
     done, up to schedule decisions (eviction choices, FIFO races) that
     a re-run might make differently.
     """
-    ends: dict[int, float] = {}
-    prev_issue = 0.0
-    out: list[DagNode] = []
-    for n in sorted(nodes, key=lambda x: x.op_id):
-        host_end = ends.get(n.host_dep, 0.0) if n.host_dep is not None else 0.0
-        issue = max(prev_issue, host_end) + n.host_gap
-        start = issue
-        for dep, _kind in n.deps:
-            start = max(start, ends.get(dep, 0.0))
-        end = start + _scaled_duration(n, scenario, machine)
-        ends[n.op_id] = end
-        prev_issue = issue
-        out.append(n.shifted(start=start, end=end, issue=issue))
-    if not out:
-        return [], 0.0
-    makespan = max(n.end for n in out) - min(n.start for n in out)
-    return out, makespan
+    dag = _CompiledDag(nodes)
+    return _replayed(dag, _scenario_durations(dag, scenario, machine), 1.0)
 
 
 def _machine_duration(
@@ -495,37 +626,71 @@ def replay_machine(
     by the API-call-overhead ratio) change.  ``replay_machine(nodes,
     machine=m, perturbed=m)`` reproduces the recording byte-exactly.
     """
+    dag = _CompiledDag(nodes)
+    durations = [_machine_duration(n, machine, perturbed) for n in dag.nodes]
     gap_scale = (
         perturbed.cpu.api_call_overhead / machine.cpu.api_call_overhead
     )
-    ends: dict[int, float] = {}
-    prev_issue = 0.0
-    out: list[DagNode] = []
-    for n in sorted(nodes, key=lambda x: x.op_id):
-        host_end = ends.get(n.host_dep, 0.0) if n.host_dep is not None else 0.0
-        issue = max(prev_issue, host_end) + n.host_gap * gap_scale
-        start = issue
-        for dep, _kind in n.deps:
-            start = max(start, ends.get(dep, 0.0))
-        end = start + _machine_duration(n, machine, perturbed)
-        ends[n.op_id] = end
-        prev_issue = issue
-        out.append(n.shifted(start=start, end=end, issue=issue))
-    if not out:
-        return [], 0.0
-    makespan = max(n.end for n in out) - min(n.start for n in out)
-    return out, makespan
+    return _replayed(dag, durations, gap_scale)
 
 
-def _bound_of(nodes: Sequence[DagNode]) -> str:
+def _bound_of(
+    dag: _CompiledDag, starts: Sequence[float], ends: Sequence[float]
+) -> str:
     """``"transfer"``/``"compute"``/``"host"``: what dominates the path."""
-    attr = attribution(critical_path(nodes))
+    attr = dict.fromkeys(CATEGORIES, 0.0)
+    for start, end, i, gap in dag.path(starts, ends):
+        attr["host" if gap else dag.categories[i]] += end - start
     transfer = sum(attr[c] for c in ("h2d", "d2h", "write-back", "peer"))
     compute = sum(attr[c] for c in ("kernel", "ghost"))
     host = attr["host"]
     top = max(("transfer", transfer), ("compute", compute), ("host", host),
               key=lambda kv: kv[1])
     return top[0]
+
+
+#: Memo of one summary's replays: unnamed scenario -> (makespan, bound).
+_Memo = dict[Scenario, tuple[float, str]]
+
+
+def _outcome(
+    dag: _CompiledDag, scenario: Scenario, machine: MachineSpec, memo: _Memo
+) -> tuple[float, str]:
+    """(makespan, bound) of ``dag`` replayed under ``scenario``.
+
+    For one DAG and machine a scenario's fields other than its name fix
+    the duration vector (host gaps keep scale 1), so one replay serves
+    every scenario and flip factor with the same fields.  Only the two
+    results are kept, not the vector or the schedule.
+    """
+    key = replace(scenario, name="")
+    hit = memo.get(key)
+    if hit is None:
+        if dag.nodes:
+            durations = _scenario_durations(dag, scenario, machine)
+            starts, ends, _issues = dag.schedule(durations, 1.0)
+            hit = (max(ends) - min(starts), _bound_of(dag, starts, ends))
+        else:
+            hit = (0.0, "-")
+        memo[key] = hit
+    return hit
+
+
+def _whatif(
+    dag: _CompiledDag, machine: MachineSpec, scenarios: Sequence[Scenario],
+    memo: _Memo,
+) -> list[dict[str, Any]]:
+    base, _ = _outcome(dag, Scenario("baseline"), machine, memo)
+    rows: list[dict[str, Any]] = []
+    for sc in scenarios:
+        makespan, bound = _outcome(dag, sc, machine, memo)
+        rows.append({
+            "scenario": sc.name,
+            "makespan_s": makespan,
+            "speedup": (base / makespan) if makespan > 0 else float("inf"),
+            "bound": bound,
+        })
+    return rows
 
 
 def whatif(
@@ -539,24 +704,35 @@ def whatif(
     Speedups are measured against the *replayed* baseline, not the raw
     recorded wall time, so modelling error common to both cancels out.
     """
-    _, base = replay(dag.nodes, Scenario("baseline"), machine=machine)
-    rows: list[dict[str, Any]] = []
-    for sc in scenarios:
-        nodes, makespan = replay(dag.nodes, sc, machine=machine)
-        rows.append({
-            "scenario": sc.name,
-            "makespan_s": makespan,
-            "speedup": (base / makespan) if makespan > 0 else float("inf"),
-            "bound": _bound_of(nodes) if nodes else "-",
-        })
-    return rows
+    return _whatif(_CompiledDag(dag.nodes), machine, scenarios, {})
+
+
+#: Link-speed factors :func:`flip_point` sweeps by default.
+_FLIP_FACTORS = (1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0)
+
+
+def _flip_point(
+    dag: _CompiledDag, machine: MachineSpec, factors: Sequence[float],
+    memo: _Memo,
+) -> float | None:
+    if not dag.nodes:
+        return None
+    if _outcome(dag, Scenario("baseline"), machine, memo)[1] != "transfer":
+        return None
+    for f in sorted(factors):
+        if f <= 1.0:
+            continue
+        sc = Scenario(f"x{f:g}", link_factor=f)
+        if _outcome(dag, sc, machine, memo)[1] != "transfer":
+            return f
+    return float("inf")
 
 
 def flip_point(
     dag: RunDag,
     *,
     machine: MachineSpec = DEFAULT_MACHINE,
-    factors: Sequence[float] = (1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0),
+    factors: Sequence[float] = _FLIP_FACTORS,
 ) -> float | None:
     """Smallest link-speed factor at which the run stops being transfer-bound.
 
@@ -564,18 +740,7 @@ def flip_point(
     (nothing to flip), or ``inf`` when even the largest swept factor
     leaves it transfer-bound.
     """
-    nodes, _ = replay(dag.nodes, Scenario("baseline"), machine=machine)
-    if not nodes or _bound_of(nodes) != "transfer":
-        return None
-    for f in sorted(factors):
-        if f <= 1.0:
-            continue
-        nodes, _ = replay(
-            dag.nodes, Scenario(f"x{f:g}", link_factor=f), machine=machine
-        )
-        if _bound_of(nodes) != "transfer":
-            return f
-    return float("inf")
+    return _flip_point(_CompiledDag(dag.nodes), machine, factors, {})
 
 
 # -- summaries --------------------------------------------------------------
@@ -593,11 +758,13 @@ def critpath_summary(
     key and what :func:`critpath_metrics` flattens for ``--compare``
     gating.
     """
-    segments = critical_path(dag.nodes)
+    compiled = _CompiledDag(dag.nodes)
+    segments = _critical_path(compiled)
     attr = attribution(segments)
     overlap = overlap_report(dag)
-    rows = whatif(dag, machine=machine)
-    flip = flip_point(dag, machine=machine)
+    memo: _Memo = {}        # whatif and flip_point share their replays
+    rows = _whatif(compiled, machine, WHATIF_SCENARIOS, memo)
+    flip = _flip_point(compiled, machine, _FLIP_FACTORS, memo)
     return {
         "wall_s": dag.wall,
         "n_ops": len(dag.nodes),

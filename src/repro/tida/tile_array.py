@@ -73,6 +73,9 @@ class TileArray:
         self.ghost = tuple(int(g) for g in ghost)
 
         self.regions: list[Region] = []
+        #: (rid, what) -> ghost-exchange geometry of one of this array's
+        #: regions; domain, decomposition and ghost width never change
+        self._geometry_cache: dict[tuple[int, Any], tuple[Any, ...]] = {}
         for rid, box in enumerate(self.decomposition.boxes):
             region = Region(rid, box, self.ghost, data=None, label=f"{self.label}.r{rid}")
             data = self._allocate(region.local_shape, fill, region.label)
@@ -204,15 +207,40 @@ class TileArray:
                     # shifted back into region's ghost frame
                     yield src, overlap, overlap.shift(tuple(-s for s in shift))
 
+    def _geometry(
+        self, region: Region, what: Any, compute: Callable[[], Iterable[Any]]
+    ) -> tuple[Any, ...]:
+        """``tuple(compute())``, computed once per ``(rid, what)`` for this
+        array's own regions (and afresh for any other region)."""
+        if not (0 <= region.rid < len(self.regions)
+                and self.regions[region.rid] is region):
+            return tuple(compute())
+        key = (region.rid, what)
+        geometry = self._geometry_cache.get(key)
+        if geometry is None:
+            geometry = self._geometry_cache[key] = tuple(compute())
+        return geometry
+
     def exchange_pairs(
         self, region: Region, *, periodic: bool = False
     ) -> list[tuple[Region, Box, Box]]:
         """All (source, source box, destination box) triples filling
-        ``region``'s ghosts, with periodic images when requested."""
-        pairs = list(self._exchange_pairs(region))
-        if periodic:
-            pairs.extend(self._periodic_pairs(region))
-        return pairs
+        ``region``'s ghosts, with periodic images when requested.
+
+        The boxes are computed once per region; each call returns a
+        fresh list.
+        """
+        def compute() -> Iterable[tuple[int, Box, Box]]:
+            pairs = list(self._exchange_pairs(region))
+            if periodic:
+                pairs.extend(self._periodic_pairs(region))
+            return ((src.rid, src_box, dst_box) for src, src_box, dst_box in pairs)
+
+        regions = self.regions
+        return [
+            (regions[rid], src_box, dst_box)
+            for rid, src_box, dst_box in self._geometry(region, bool(periodic), compute)
+        ]
 
     def fill_region_ghosts(self, region: Region, bc: BoundaryCondition | None = None) -> int:
         """Fill one region's ghosts from neighbour host data; returns bytes
@@ -227,7 +255,10 @@ class TileArray:
             if functional:
                 region.view(dst_box)[...] = src.view(src_box)
         if bc is not None and not bc.is_periodic:
-            for _axis, _side, ghost_box, src_box in domain_faces(region, self.domain):
+            faces = self._geometry(
+                region, "faces", lambda: domain_faces(region, self.domain)
+            )
+            for _axis, _side, ghost_box, src_box in faces:
                 bytes_copied += ghost_box.size * itemsize
                 if functional:
                     bc.fill_face(region.view(ghost_box), region.view(src_box))

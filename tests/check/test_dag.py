@@ -7,6 +7,8 @@ lossless.  The critical-path analyses built *on* the DAG live in
 ``tests/obs/test_critpath.py``.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.check import DagNode, dag_from_json, dag_to_json
@@ -191,3 +193,7 @@ class TestDagNode:
         # everything else is carried over
         assert (m.op_id, m.kind, m.label, m.nbytes) == (1, "h2d", "up", 8)
         assert m.deps == () and m.host_gap == 0.25
+        assert m == dataclasses.replace(n, start=10.0, end=12.0, issue=9.5)
+        assert (n.start, n.end, n.issue) == (1.0, 3.0, 0.5)   # source intact
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            m.start = 0.0

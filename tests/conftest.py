@@ -69,6 +69,17 @@ def tiny_runtime(tiny_machine) -> CudaRuntime:
     return CudaRuntime(tiny_machine, functional=True)
 
 
+@pytest.fixture(scope="module")
+def heat_run():
+    """A checked Fig. 3-style heat solve: DAG + iteration marks."""
+    from repro.baselines.tida_runners import run_tida_heat
+
+    return run_tida_heat(
+        machine=k40m_pcie3(), shape=(64, 64, 64), steps=2, n_regions=4,
+        check="observe",
+    )
+
+
 def rand_array(shape, seed=0):
     rng = np.random.default_rng(seed)
     return rng.random(shape)

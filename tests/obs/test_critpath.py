@@ -49,15 +49,6 @@ def node(op_id, kind, label, start, end, *, deps=(), host_dep=None,
 
 
 @pytest.fixture(scope="module")
-def heat_run():
-    """A checked Fig. 3-style heat solve: DAG + iteration marks."""
-    return run_tida_heat(
-        machine=k40m_pcie3(), shape=(64, 64, 64), steps=2, n_regions=4,
-        check="observe",
-    )
-
-
-@pytest.fixture(scope="module")
 def heat_dag(heat_run):
     marks = [m["ts"] for m in heat_run.trace.marks if m["name"] == "iteration"]
     return RunDag.from_nodes(heat_run.dag, marks=marks)
