@@ -15,7 +15,7 @@ The default configuration is healthy (prefetching multi-slot streaming:
 zero alerts).  ``--degrade`` re-runs it with a single slot and prefetch
 disabled, which collapses compute/transfer overlap and makes the
 watchdog raise ``overlap_collapse`` alerts — the same seeded scenario
-the ``live-watchdog`` CI leg checks.
+the ``live`` bench gate leg checks.
 
 Inspect the session afterwards with
 ``python -m repro.obs.watch session.jsonl`` (add ``--follow`` while a

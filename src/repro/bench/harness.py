@@ -20,7 +20,7 @@ from pathlib import Path
 
 from ..obs import metrics as obs_metrics
 from . import figures
-from .report import Table
+from .report import LegResult, Table
 
 
 def run_all(
@@ -31,7 +31,6 @@ def run_all(
     metrics_out: Path | None = None,
     faults_spec: str | None = None,
     check: bool = False,
-    critpath: bool = False,
 ) -> list[Table]:
     """Execute every experiment; returns the tables in paper order.
 
@@ -43,10 +42,6 @@ def run_all(
     experiments create (see :mod:`repro.check`): any racy device-buffer
     access raises :class:`~repro.errors.HazardError` on the spot, and a
     hazard summary is printed at the end — the CI conformance leg.
-
-    ``critpath=True`` additionally runs the critical-path leg
-    (:func:`run_critpath_leg`), writing ``critpath.json`` next to the
-    figures — the manifest ``BENCH_critpath.json`` is gated against.
 
     ``check=True`` also runs the conformance-matrix leg
     (:func:`run_conformance_leg`) after the figures: the schedule sweep
@@ -68,8 +63,6 @@ def run_all(
             set_default_mode(None)
     if check:
         run_conformance_leg(out_dir, quick=quick, echo=echo)
-    if critpath:
-        run_critpath_leg(out_dir, echo=echo)
     return tables
 
 
@@ -135,18 +128,17 @@ def run_conformance_leg(
     return path
 
 
-def run_critpath_leg(out_dir: Path, *, echo: bool = True) -> Path:
-    """The critical-path trend leg: analyse the Fig. 3 heat workload.
+def critpath_leg(out_dir: Path) -> LegResult:
+    """The ``critpath`` leg of :mod:`repro.bench.gate`: the Fig. 3 heat
+    workload's critical path.
 
     Runs the pipelined heat solve under the observing hazard checker
-    (fixed shape/steps regardless of ``--quick``, so the numbers are
-    comparable across runs — virtual time makes them deterministic),
-    computes the full critpath summary, and writes ``critpath.json``:
-    a run manifest whose ``metrics`` are the flat ``critpath.*``
-    counters.  CI gates that file against the committed
-    ``BENCH_critpath.json`` with ``obs.report --compare``, so critical
-    path composition, overlap efficiency, and predicted what-if
-    speedups become a ratcheted trend ledger.
+    (fixed shape and steps; virtual time makes the numbers
+    deterministic) and gates the flat ``critpath.*`` counters against
+    ``BENCH_critpath.json``, so critical-path composition, overlap
+    efficiency and predicted what-if speedups form a ratcheted trend
+    ledger.  The trace, DAG and full summary ride along ungated, so
+    ``obs.report --critpath`` can re-render the manifest.
     """
     from ..baselines.tida_runners import run_tida_heat
     from ..check.dag import dag_to_json
@@ -158,22 +150,14 @@ def run_critpath_leg(out_dir: Path, *, echo: bool = True) -> Path:
     marks = [m["ts"] for m in r.trace.marks if m["name"] == "iteration"]
     dag = RunDag.from_nodes(r.dag or (), marks=marks)
     summary = critpath_summary(dag)
-    manifest = {
-        "schema": "repro-run-manifest/1",
+    raw = {
         "traceEvents": r.trace.to_chrome_trace(),
-        "metrics": {"counters": critpath_metrics(summary)},
         "dag": dag_to_json(r.dag or ()),
         "critpath": summary,
     }
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "critpath.json"
-    path.write_text(json.dumps(manifest, indent=2))
-    if echo:
-        for table in build_critpath_report(None, manifest):
-            print()
-            print(table.format())
-        print(f"\nwrote critical-path manifest to {path}")
-    return path
+    for table in build_critpath_report(None, raw):
+        print(table.format(), end="\n\n")
+    return LegResult(metrics={"counters": critpath_metrics(summary)}, raw=raw)
 
 
 def _run_figures(
@@ -290,18 +274,6 @@ def main(argv: list[str] | None = None) -> int:
         help="run every experiment under the strict hazard checker "
              "(racy device-buffer accesses abort the run; see repro.check)",
     )
-    parser.add_argument(
-        "--critpath", action="store_true",
-        help="also run the critical-path leg and write critpath.json "
-             "(the manifest gated against BENCH_critpath.json)",
-    )
-    parser.add_argument(
-        "--live", action="store_true",
-        help="also run the live-telemetry watchdog legs (see "
-             "repro.bench.live): nominal runs must stay alert-free, seeded "
-             "degradations must alert; writes live.json / live_nominal.json "
-             "and the per-leg telemetry_*.jsonl sessions",
-    )
     args = parser.parse_args(argv)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -311,12 +283,7 @@ def main(argv: list[str] | None = None) -> int:
         metrics_out=Path(args.metrics_out) if args.metrics_out else None,
         faults_spec=args.faults,
         check=args.check,
-        critpath=args.critpath,
     )
-    if args.live:
-        from .live import run_live
-
-        return run_live(out_dir)
     return 0
 
 

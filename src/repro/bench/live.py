@@ -1,4 +1,4 @@
-"""Live-telemetry harness leg (``python -m repro.bench.live``).
+"""The ``live`` leg of :mod:`repro.bench.gate`: live telemetry.
 
 Runs a fixed set of workload legs, each monitored end-to-end by the
 :mod:`repro.obs.live` stack — a :class:`TelemetryBus` sampling on the
@@ -16,26 +16,20 @@ telemetry behaves as specified:
   budget, so the run dies with :class:`~repro.errors.FaultError` — and
   must leave a flight-recorder ``incident.json`` behind.
 
-Outputs under ``--out DIR`` (default ``results/``):
+Every broken expectation is a floor miss.  Next to the manifest, which
+carries per-leg ``legs`` entries, all ``alerts`` (each annotated with
+its leg) and per-leg ``health``, the leg writes:
 
 * ``telemetry_<leg>.jsonl`` — each leg's full session stream (the input
   of ``python -m repro.obs.watch``);
-* ``incidents_<leg>/incident*.json`` — flight-recorder dumps;
-* ``live.json`` — a run manifest with per-leg ``health``, all ``alerts``
-  (each annotated with its leg), and expectation verdicts;
-* ``live_nominal.json`` — the same manifest restricted to the nominal
-  legs, the file CI gates with ``obs.report --fail-on-alerts``.
+* ``incidents_<leg>/incident*.json`` — flight-recorder dumps.
 
-Exit code 0 when every expectation holds, 2 otherwise.  Everything runs
-on the virtual clock with fixed seeds, so the whole output set is
-byte-reproducible.
+Everything runs on the virtual clock with fixed seeds, so the whole
+output set is byte-reproducible.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
@@ -43,7 +37,7 @@ from typing import Any, Callable
 from ..errors import FaultError
 from ..faults import FaultPlan, FaultRule, RetryPolicy
 from ..obs.live import FlightRecorder, TelemetryBus, Watchdog, default_detectors
-from .report import Table
+from .report import LegResult, Table
 
 #: Shared grid for every leg: small enough for CI, large enough that the
 #: per-window statistics clear every detector's warmup.
@@ -166,15 +160,14 @@ def run_leg(leg: Leg, out_dir: Path) -> dict[str, Any]:
 
 def _manifest(entries: list[dict[str, Any]]) -> dict[str, Any]:
     return {
-        "schema": "repro-run-manifest/1",
         "legs": {e["leg"]: e for e in entries},
         "alerts": [a for e in entries for a in e["alerts"]],
         "health": {e["leg"]: e["health"] for e in entries},
     }
 
 
-def run_live(out_dir: Path, *, echo: bool = True) -> int:
-    """Run every live leg; writes manifests, returns the exit code."""
+def run(out_dir: Path) -> LegResult:
+    """Run every live leg; its telemetry and incidents land in ``out_dir``."""
     out_dir.mkdir(parents=True, exist_ok=True)
     entries = [run_leg(leg, out_dir) for leg in _legs()]
 
@@ -183,40 +176,16 @@ def run_live(out_dir: Path, *, echo: bool = True) -> int:
         columns=["leg", "samples", "alerts", "observed", "expected",
                  "incidents", "verdict"],
     )
-    failures = 0
     for e in entries:
-        ok = not e["problems"]
-        failures += 0 if ok else 1
         table.add_row(
             e["leg"], e["samples"], len(e["alerts"]),
             ",".join(e["observed_detectors"]) or "-",
             ",".join(e["expected_detectors"]) or
             ("(none)" if e["nominal"] else "-"),
-            len(e["incidents"]), "ok" if ok else "FAIL",
+            len(e["incidents"]), "FAIL" if e["problems"] else "ok",
         )
-    for e in entries:
-        for problem in e["problems"]:
-            table.add_note(f"{e['leg']}: {problem}")
-
-    (out_dir / "live.json").write_text(
-        json.dumps(_manifest(entries), indent=2, sort_keys=True) + "\n"
+    print(table.format())
+    return LegResult(
+        raw=_manifest(entries),
+        floor_misses=[f"{e['leg']}: {p}" for e in entries for p in e["problems"]],
     )
-    (out_dir / "live_nominal.json").write_text(
-        json.dumps(_manifest([e for e in entries if e["nominal"]]),
-                   indent=2, sort_keys=True) + "\n"
-    )
-    if echo:
-        print(table.format())
-        print(f"\nwrote live telemetry manifests to {out_dir / 'live.json'}")
-    return 2 if failures else 0
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--out", default="results", help="output directory")
-    args = parser.parse_args(argv)
-    return run_live(Path(args.out))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

@@ -1,4 +1,4 @@
-"""Planner gate: ``python -m repro.bench.plan_bench``.
+"""The ``plan`` leg of :mod:`repro.bench.gate`.
 
 The acceptance spine of the access-set-driven planner (see
 :mod:`repro.plan`): for every workload the conformance matrix covers —
@@ -7,8 +7,8 @@ planner-derived run must be **byte-identical** to the hand-built TiDA-acc
 driver on every eviction × prefetch × visit-order leg, with zero racy
 hazards, and the CG solver's ``halo="auto"`` decomposition must solve to
 the same bits as the hand-pinned ghost width.  Timing-only planned runs
-must reproduce the functional trace/DAG/counters bit-for-bit (the same
-contract :mod:`repro.bench.simspeed` enforces for the hand-built path).
+must reproduce the functional trace/DAG/counters bit-for-bit
+(:func:`repro.bench.simspeed.drift_check` over :data:`PLANNED_WORKLOADS`).
 
 On top of conformance, the planner has to *pay for itself*: the
 variable-coefficient workload runs under memory pressure, where the
@@ -22,23 +22,14 @@ counters:
   proven-clean halos;
 * ``bench.plan.fills_elided`` — whole boundary fills skipped.
 
-Exit codes: 1 when any conformance leg diverges (digest mismatch, racy
-hazard, CG divergence, or timing drift), 2 when a savings counter is not
-strictly positive.
-
-Gated counters are *clamped* — ``min(measured, ceiling)`` with ceilings
-below what a healthy run measures — so the committed baseline sits at
-the ceiling and never moves on faster machines, while a real regression
-(a proof lost, an elision dropped) pulls the counter below its ceiling
-and trips both the ``--compare`` gate and the hard floor.  Raw values
-live under the manifest's ungated ``"plan"`` key.
+A diverged leg (digest mismatch, racy hazard, CG divergence, or timing
+drift) is a conformance failure; a savings counter that is not strictly
+positive is a floor miss.  Raw values live under the manifest's ungated
+``"plan"`` key.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
 from pathlib import Path
 from typing import Any
 
@@ -50,15 +41,18 @@ from ..baselines.plan_runners import (
     run_tida_coeff_heat,
 )
 from ..check.explore import conformance_matrix
-from ..obs.metrics import MetricsRegistry
+from .report import LegResult
+from .simspeed import drift_check
 
-#: Clamp ceilings for the gated savings counters — below the values the
+#: Clamp bounds for the gated savings counters — below the values the
 #: committed configuration measures (46 skips, ~1.1 MB, 5 elisions), so
-#: the baseline sits exactly at the ceiling.  Do not change without
+#: the baseline sits exactly at the bound.  Do not change without
 #: regenerating BENCH_plan.json.
-WRITEBACKS_SKIPPED_CEILING = 40.0
-HALO_BYTES_SAVED_CEILING = 1_000_000.0
-FILLS_ELIDED_CEILING = 4.0
+BOUNDS = {
+    "bench.plan.writebacks_skipped": 40.0,
+    "bench.plan.halo_bytes_saved": 1_000_000.0,
+    "bench.plan.fills_elided": 4.0,
+}
 
 #: The conformance matrix legs swept on both sides of the differential.
 MATRIX_AXES = dict(
@@ -78,6 +72,15 @@ CONFORMANCE_WORKLOADS: tuple[tuple[str, dict[str, Any]], ...] = (
                      device_memory_limit=70_000)),
     ("coeff-heat", dict(shape=(32, 16, 16), steps=3, n_regions=8, n_slots=2,
                         device_memory_limit=98_304)),
+)
+
+#: Planned workloads whose functional and timing runs must match.
+PLANNED_WORKLOADS = (
+    ("heat-planned", run_planned_heat,
+     dict(shape=(32, 16, 16), steps=2, n_regions=8)),
+    ("coeff-heat-planned", run_planned_coeff_heat,
+     dict(shape=(32, 16, 16), steps=3, n_regions=8, n_slots=2,
+          device_memory_limit=98_304)),
 )
 
 #: The savings measurement: variable-coefficient heat with room on the
@@ -139,33 +142,6 @@ def cg_check(shape: tuple[int, ...] = (7, 6)) -> tuple[list[str], dict[str, Any]
     }
 
 
-def timing_drift_check() -> list[str]:
-    """Planned functional vs timing runs must be byte-identical."""
-    from .simspeed import _fingerprint
-
-    workloads = (
-        ("heat-planned", run_planned_heat,
-         dict(shape=(32, 16, 16), steps=2, n_regions=8)),
-        ("coeff-heat-planned", run_planned_coeff_heat,
-         dict(shape=(32, 16, 16), steps=3, n_regions=8, n_slots=2,
-              device_memory_limit=98_304)),
-    )
-    failures: list[str] = []
-    for name, fn, kw in workloads:
-        fp = {}
-        for mode in ("functional", "timing"):
-            res = fn(functional=(mode == "functional"), mode=mode,
-                     check="observe", **kw)
-            fp[mode] = _fingerprint(res)
-        for part, a, b in zip(
-            ("trace", "dag", "counters", "elapsed"),
-            fp["functional"], fp["timing"],
-        ):
-            if a != b:
-                failures.append(f"{name}: {part} differs between modes")
-    return failures
-
-
 def measure_savings(config: dict[str, Any] | None = None) -> dict[str, Any]:
     """Planned vs naive variable-coefficient heat under memory pressure."""
     kw = dict(SAVINGS_CONFIG if config is None else config)
@@ -186,15 +162,13 @@ def measure_savings(config: dict[str, Any] | None = None) -> dict[str, Any]:
     }
 
 
-def run(out: Path) -> int:
+def run(out_dir: Path) -> LegResult:
     failures, conf = conformance_check()
     cg_failures, cg = cg_check()
     failures.extend(cg_failures)
-    failures.extend(timing_drift_check())
+    failures.extend(drift_check(PLANNED_WORKLOADS))
     if failures:
-        for f in failures:
-            print(f"FAIL conformance: {f}", file=sys.stderr)
-        return 1
+        return LegResult(conformance=failures)
     legs = sum(w["legs"] for w in conf.values())
     print(f"conformance: planner-derived byte-identical to hand-built on "
           f"{legs} legs across {len(conf)} workloads, zero racy hazards")
@@ -204,9 +178,8 @@ def run(out: Path) -> int:
 
     savings = measure_savings()
     if not savings["byte_identical"]:
-        print("FAIL savings: planned coeff-heat diverged from naive baseline",
-              file=sys.stderr)
-        return 1
+        return LegResult(conformance=[
+            "savings: planned coeff-heat diverged from naive baseline"])
     print(f"savings: writebacks_skipped={savings['writebacks_skipped']:.0f}  "
           f"halo_bytes_saved={savings['halo_bytes_saved']:.0f}  "
           f"fills_elided={savings['fills_elided']:.0f}/"
@@ -215,45 +188,10 @@ def run(out: Path) -> int:
     print(f"elapsed: naive {savings['naive_elapsed']*1e3:.3f} ms vs planned "
           f"{savings['planned_elapsed']*1e3:.3f} ms")
 
-    bench = MetricsRegistry()
-    gated = {
-        "bench.plan.writebacks_skipped":
-            min(savings["writebacks_skipped"], WRITEBACKS_SKIPPED_CEILING),
-        "bench.plan.halo_bytes_saved":
-            min(savings["halo_bytes_saved"], HALO_BYTES_SAVED_CEILING),
-        "bench.plan.fills_elided":
-            min(savings["fills_elided"], FILLS_ELIDED_CEILING),
-    }
-    for name, value in gated.items():
-        bench.counter(name).inc(value)
-
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps({
-        "schema": "repro-run-manifest/1",
-        "metrics": bench.snapshot(),
-        "plan": {"conformance": conf, "cg": cg, "savings": savings},
-    }, indent=2) + "\n")
-    print(f"wrote {len(gated)} gated counters to {out}")
-
-    floor_misses = [
-        name for name in
-        ("writebacks_skipped", "halo_bytes_saved", "fills_elided")
-        if savings[name] <= 0
-    ]
-    if floor_misses:
-        for miss in floor_misses:
-            print(f"FAIL floor: {miss} not strictly positive", file=sys.stderr)
-        return 2
-    return 0
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--out", default="BENCH_plan.json",
-                        help="run-manifest output path (default BENCH_plan.json)")
-    args = parser.parse_args(argv)
-    return run(Path(args.out))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    gated = ("writebacks_skipped", "halo_bytes_saved", "fills_elided")
+    return LegResult(
+        metrics={"counters": {f"bench.plan.{k}": savings[k] for k in gated}},
+        raw={"plan": {"conformance": conf, "cg": cg, "savings": savings}},
+        floor_misses=[f"{k} not strictly positive"
+                      for k in gated if savings[k] <= 0],
+    )

@@ -1,4 +1,4 @@
-"""Result tables: aligned text, markdown, and JSON output."""
+"""Result tables (aligned text, markdown, JSON) and bench-leg results."""
 
 from __future__ import annotations
 
@@ -141,3 +141,18 @@ class Table:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(json.dumps(self.to_json(), indent=2, default=str))
         return path
+
+
+@dataclass
+class LegResult:
+    """What one bench leg hands :mod:`repro.bench.gate`."""
+
+    #: metric snapshot (``counters``, optionally ``gauges``/``histograms``),
+    #: gated against the committed baseline; counters still unclamped
+    metrics: dict[str, Any] = field(default_factory=dict)
+    #: ungated top-level manifest keys: raw measurements, report inputs
+    raw: dict[str, Any] = field(default_factory=dict)
+    #: differential/determinism failures (exit 1, nothing written)
+    conformance: list[str] = field(default_factory=list)
+    #: hard acceptance floors missed (exit 2, manifest still written)
+    floor_misses: list[str] = field(default_factory=list)

@@ -1,4 +1,4 @@
-"""Service gate: ``python -m repro.bench.service_bench``.
+"""The ``service`` leg of :mod:`repro.bench.gate`.
 
 The acceptance spine of the multi-tenant service layer (see
 :mod:`repro.service`): a seeded 8-tenant contention mix — one priority
@@ -22,44 +22,34 @@ Conformance: every job in the contention and serialized legs must be
 racy hazards anywhere, and re-running the contention leg under the same
 seed must produce a byte-identical session log.
 
-Exit codes: 1 when any conformance leg diverges (digest mismatch, racy
-hazard, or session drift), 2 when a floor is missed: utilization
-speedup below ``SPEEDUP_FLOOR`` (the issue's 1.5x bar), priority p95
-slowdown above ``P95_SLOWDOWN_CEILING`` (the 1.25x bar), or no dedup
-savings.
-
-Gated counters are *clamped* so the committed baseline never moves on
-faster machines: higher-is-better counters report
-``min(measured, ceiling)`` with ceilings below a healthy run, and the
-lower-is-better slowdown reports ``max(measured, floor)`` with the
-floor above a healthy run.  A real regression pulls the counter past
-its clamp and trips both the ``--compare`` gate and the hard floor.
-Raw values live under the manifest's ungated ``"service"`` key.
+Floors: utilization speedup at least ``SPEEDUP_FLOOR`` (1.5x), priority
+p95 slowdown at most ``P95_SLOWDOWN_CEILING`` (1.25x), and some dedup
+savings.  Raw values live under the manifest's ungated ``"service"``
+key.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
-from ..obs.metrics import MetricsRegistry
 from ..service import LoadGenerator, Service, TrafficPattern, run_solo
+from .report import LegResult
 
 #: Clamp bounds for the gated counters — chosen past what the committed
 #: configuration measures (speedup ~2.0, utilization ~0.71, slowdown
-#: ~1.01, ~25 kB avoided), so the baseline sits exactly at the clamp.
+#: ~1.01, ~25 kB avoided), so the baseline sits exactly at the bound.
 #: Do not change without regenerating BENCH_service.json.
-UTILIZATION_SPEEDUP_CEILING = 1.8
-AGGREGATE_UTILIZATION_CEILING = 0.6
-DEDUP_BYTES_AVOIDED_CEILING = 20_000.0
-PRIORITY_P95_SLOWDOWN_FLOOR = 1.15
+BOUNDS = {
+    "bench.service.utilization_speedup": 1.8,
+    "bench.service.aggregate_utilization": 0.6,
+    "bench.service.dedup_bytes_avoided": 20_000.0,
+    "bench.service.priority_p95_slowdown": 1.15,
+}
 
-#: Hard acceptance floors (exit 2), from the issue's acceptance criteria.
+#: Hard acceptance floors.
 SPEEDUP_FLOOR = 1.5
 P95_SLOWDOWN_CEILING = 1.25
 
@@ -77,10 +67,6 @@ WORKLOAD_KWARGS: dict[str, dict[str, Any]] = {
 }
 PATTERN = TrafficPattern(mean_gap=2e-5, burst_size=2)
 
-#: Solo-differential coverage under ``--quick``: every priority-tenant
-#: job plus this many best-effort jobs (full mode checks all of them).
-QUICK_SOLO_BEST_EFFORT = 2
-
 
 def arrivals():
     gen = LoadGenerator(
@@ -90,8 +76,9 @@ def arrivals():
     return gen.arrivals(N_JOBS)
 
 
-def _service(scheduler: str) -> Service:
-    svc = Service(total_slots=TOTAL_SLOTS, scheduler=scheduler)
+def _service(scheduler: str, **kwargs: Any) -> Service:
+    """The committed tenant mix on a fresh service (``kwargs`` to Service)."""
+    svc = Service(total_slots=TOTAL_SLOTS, scheduler=scheduler, **kwargs)
     svc.add_tenant(PRIORITY_TENANT, 2.0, priority=True)
     for t in TENANTS[1:]:
         svc.add_tenant(t, 1.0)
@@ -123,24 +110,16 @@ def _p95(latencies) -> float:
     return float(np.percentile(latencies, 95))
 
 
-def differential_check(report, jobs, leg: str, *, quick: bool) -> tuple[list[str], int]:
-    """Every selected job must be byte-identical to its solo run."""
+def differential_check(report, jobs, leg: str) -> list[str]:
+    """Every job must be byte-identical to its solo run."""
     failures: list[str] = []
-    selected = []
-    be_taken = 0
     for jid, a in jobs.items():
-        if quick and a.tenant != PRIORITY_TENANT:
-            if be_taken >= QUICK_SOLO_BEST_EFFORT:
-                continue
-            be_taken += 1
-        selected.append((jid, a))
-    for jid, a in selected:
         solo = run_solo(a.tenant, workload=a.workload,
                         workload_kwargs=dict(a.kwargs, seed=a.seed),
                         total_slots=TOTAL_SLOTS)
         if report.jobs[jid].digests != solo.digests:
             failures.append(f"{leg}/{jid}: digests diverge from solo run")
-    return failures, len(selected)
+    return failures
 
 
 def measure_dedup() -> dict[str, Any]:
@@ -171,7 +150,7 @@ def measure_dedup() -> dict[str, Any]:
     }
 
 
-def run(out: Path, *, quick: bool = False) -> int:
+def run(out_dir: Path) -> LegResult:
     arr = arrivals()
 
     solo_rep, _solo_jobs, _ = _run_leg("fair", arr, only_tenant=PRIORITY_TENANT)
@@ -192,9 +171,7 @@ def run(out: Path, *, quick: bool = False) -> int:
         if fair_rep.jobs[jid].digests != serial_rep.jobs[sjid].digests:
             failures.append(f"{jid}: contention and serialized digests diverge")
 
-    diff_failures, n_checked = differential_check(
-        fair_rep, fair_jobs, "contention", quick=quick)
-    failures.extend(diff_failures)
+    failures.extend(differential_check(fair_rep, fair_jobs, "contention"))
 
     # same seed, same arrivals => byte-identical session log
     rerun_rep, _rerun_jobs, rerun_session = _run_leg("fair", arr)
@@ -210,16 +187,14 @@ def run(out: Path, *, quick: bool = False) -> int:
         failures.append(f"dedup: {dedup['racy']} racy hazards")
 
     if failures:
-        for f in failures:
-            print(f"FAIL conformance: {f}", file=sys.stderr)
-        return 1
+        return LegResult(conformance=failures)
 
     speedup = fair_rep.utilization / serial_rep.utilization
     p95_un = _p95(solo_rep.latencies(PRIORITY_TENANT))
     p95_con = _p95(fair_rep.latencies(PRIORITY_TENANT))
     slowdown = p95_con / p95_un
 
-    print(f"conformance: {n_checked}/{len(fair_jobs)} jobs byte-identical to "
+    print(f"conformance: {len(fair_jobs)} jobs byte-identical to "
           f"solo runs, serialized leg bit-equal, zero racy hazards, "
           f"same-seed session byte-identical")
     print(f"utilization: contention {fair_rep.utilization:.3f} vs serialized "
@@ -232,20 +207,6 @@ def run(out: Path, *, quick: bool = False) -> int:
           f"p95 {_p95(fair_rep.latencies())*1e3:.3f} ms over {len(fair_jobs)} jobs")
     print(f"dedup: {dedup['hits']:.0f} hits, {dedup['bytes_avoided']:.0f} bytes "
           f"avoided (shared: {', '.join(dedup['shared_fields']) or '-'})")
-
-    bench = MetricsRegistry()
-    gated = {
-        "bench.service.utilization_speedup":
-            min(speedup, UTILIZATION_SPEEDUP_CEILING),
-        "bench.service.aggregate_utilization":
-            min(fair_rep.utilization, AGGREGATE_UTILIZATION_CEILING),
-        "bench.service.dedup_bytes_avoided":
-            min(dedup["bytes_avoided"], DEDUP_BYTES_AVOIDED_CEILING),
-        "bench.service.priority_p95_slowdown":
-            max(slowdown, PRIORITY_P95_SLOWDOWN_FLOOR),
-    }
-    for name, value in gated.items():
-        bench.counter(name).inc(value)
 
     raw = {
         "config": {
@@ -266,20 +227,10 @@ def run(out: Path, *, quick: bool = False) -> int:
             "overall_p50": float(np.percentile(fair_rep.latencies(), 50)) * 1e3,
             "overall_p95": _p95(fair_rep.latencies()) * 1e3,
         },
-        "solo_differential": {"checked": n_checked, "total": len(fair_jobs),
-                              "quick": quick},
         "dedup": dedup,
         "tenants": {t: {k: v for k, v in info.items() if k != "latencies"}
                     for t, info in fair_rep.tenants.items()},
     }
-
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps({
-        "schema": "repro-run-manifest/1",
-        "metrics": bench.snapshot(),
-        "service": raw,
-    }, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {len(gated)} gated counters to {out}")
 
     floor_misses = []
     if speedup < SPEEDUP_FLOOR:
@@ -290,24 +241,13 @@ def run(out: Path, *, quick: bool = False) -> int:
             f"priority p95 slowdown {slowdown:.3f} > {P95_SLOWDOWN_CEILING}")
     if dedup["bytes_avoided"] <= 0:
         floor_misses.append("dedup bytes_avoided not strictly positive")
-    if floor_misses:
-        for miss in floor_misses:
-            print(f"FAIL floor: {miss}", file=sys.stderr)
-        return 2
-    return 0
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--out", default="BENCH_service.json",
-                        help="run-manifest output path (default BENCH_service.json)")
-    parser.add_argument("--quick", action="store_true",
-                        help="solo-check only the priority tenant's jobs plus "
-                             "a couple of best-effort ones (CI mode); the "
-                             "gated counters are identical either way")
-    args = parser.parse_args(argv)
-    return run(Path(args.out), quick=args.quick)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    return LegResult(
+        metrics={"counters": {
+            "bench.service.utilization_speedup": speedup,
+            "bench.service.aggregate_utilization": fair_rep.utilization,
+            "bench.service.dedup_bytes_avoided": dedup["bytes_avoided"],
+            "bench.service.priority_p95_slowdown": slowdown,
+        }},
+        raw={"service": raw},
+        floor_misses=floor_misses,
+    )

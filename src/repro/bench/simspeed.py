@@ -1,4 +1,4 @@
-"""Simulator-speed gate: ``python -m repro.bench.simspeed``.
+"""The ``simspeed`` leg of :mod:`repro.bench.gate`.
 
 Measures how fast the simulator itself runs — simulated device-ops per
 wall-clock second — in the three execution modes (see DESIGN.md):
@@ -17,26 +17,17 @@ and how much those fast paths buy the two sweep surfaces that use them:
 * machine autotuning (:func:`~repro.model.autotune.sweep_machines`,
   ``strategy="replay"`` vs ``"measure"``).
 
-Exit codes: 1 when timing mode drifts from functional (trace, DAG,
-counters, or elapsed differ on any workload), 2 when either sweep
-speedup lands under the 10x floor.
-
-The manifest (``--out``, default ``BENCH_simspeed.json``) is the input
-format of ``python -m repro.obs.report``; CI regenerates it and gates
-with ``--compare`` against the committed baseline.  Gated counters are
-*clamped* ratios — ``min(measured, ceiling)`` with ceilings above the
-10x floor — so CI wall-clock noise above the ceiling never moves the
-committed numbers, while a real regression pulls a counter below its
-ceiling and trips both the 10% compare gate and the hard floor.  The
-raw, unclamped measurements live under the manifest's ungated
-``"simspeed"`` key for human inspection.
+Timing mode drifting from functional (trace, DAG, counters, or elapsed
+on any workload) is a conformance failure; a sweep speedup under the
+10x floor is a floor miss.  The gated speedups are wall-clock ratios,
+clamped to :data:`BOUNDS` so CI noise above a bound never moves the
+committed numbers; the raw measurements live under the manifest's
+ungated ``"simspeed"`` key.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
-import sys
 import time
 from pathlib import Path
 from typing import Any, Callable
@@ -47,16 +38,18 @@ from ..check.explore import conformance_matrix
 from ..config import DEFAULT_MACHINE, MachineSpec
 from ..model.autotune import sweep_machines
 from ..multi.heat import run_multi_gpu_heat
-from ..obs.metrics import MetricsRegistry
+from .report import LegResult
 
-#: Clamp ceilings for the gated ratio counters.  Chosen below what a
+#: Clamp bounds for the gated ratio counters.  Chosen below what a
 #: healthy run measures (so the committed baseline sits exactly at the
-#: ceiling, immune to machines faster than CI) and above the floors the
-#: hard gate enforces.  Do not change without regenerating
-#: BENCH_simspeed.json.
-TIMING_SPEEDUP_CEILING = 2.0
-REPLAY_SPEEDUP_CEILING = 20.0
-SWEEP_SPEEDUP_CEILING = 12.0
+#: bound, immune to machines faster than CI) and above the floor the
+#: leg enforces.  Do not change without regenerating BENCH_simspeed.json.
+BOUNDS = {
+    "bench.simspeed.timing_speedup": 2.0,
+    "bench.simspeed.replay_speedup": 20.0,
+    "bench.simspeed.conformance_sweep_speedup": 12.0,
+    "bench.simspeed.machine_sweep_speedup": 12.0,
+}
 #: The tentpole acceptance bar: replay-surrogate sweeps must beat full
 #: re-simulation by at least this factor.
 SWEEP_SPEEDUP_FLOOR = 10.0
@@ -212,12 +205,10 @@ def measure_machine_sweep(n_candidates: int = 96) -> dict[str, float]:
     }
 
 
-def run(out: Path) -> int:
+def run(out_dir: Path) -> LegResult:
     failures = drift_check()
     if failures:
-        for f in failures:
-            print(f"FAIL drift: {f}", file=sys.stderr)
-        return 1
+        return LegResult(conformance=failures)
     print("drift check: functional and timing runs byte-identical "
           f"on {len(DRIFT_WORKLOADS)} workloads")
 
@@ -238,51 +229,19 @@ def run(out: Path) -> int:
           f"measure {mach['measure_wall_s']:.2f} s vs replay "
           f"{mach['replay_wall_s']:.2f} s -> {mach['speedup']:.1f}x")
 
-    bench = MetricsRegistry()
-    gated = {
-        "bench.simspeed.timing_speedup":
-            min(modes["timing_speedup"], TIMING_SPEEDUP_CEILING),
-        "bench.simspeed.replay_speedup":
-            min(modes["replay_speedup"], REPLAY_SPEEDUP_CEILING),
-        "bench.simspeed.conformance_sweep_speedup":
-            min(conf["speedup"], SWEEP_SPEEDUP_CEILING),
-        "bench.simspeed.machine_sweep_speedup":
-            min(mach["speedup"], SWEEP_SPEEDUP_CEILING),
-    }
-    for name, value in gated.items():
-        bench.counter(name).inc(value)
-
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps({
-        "schema": "repro-run-manifest/1",
-        "metrics": bench.snapshot(),
-        "simspeed": {"modes": modes, "conformance_sweep": conf,
-                     "machine_sweep": mach},
-    }, indent=2) + "\n")
-    print(f"wrote {len(gated)} gated counters to {out}")
-
-    floor_misses = [
-        f"{name} = {value:.1f}x < {SWEEP_SPEEDUP_FLOOR:.0f}x"
-        for name, value in (
-            ("conformance sweep", conf["speedup"]),
-            ("machine sweep", mach["speedup"]),
-        )
-        if value < SWEEP_SPEEDUP_FLOOR
-    ]
-    if floor_misses:
-        for miss in floor_misses:
-            print(f"FAIL floor: {miss}", file=sys.stderr)
-        return 2
-    return 0
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--out", default="BENCH_simspeed.json",
-                        help="run-manifest output path (default BENCH_simspeed.json)")
-    args = parser.parse_args(argv)
-    return run(Path(args.out))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    return LegResult(
+        metrics={"counters": {
+            "bench.simspeed.timing_speedup": modes["timing_speedup"],
+            "bench.simspeed.replay_speedup": modes["replay_speedup"],
+            "bench.simspeed.conformance_sweep_speedup": conf["speedup"],
+            "bench.simspeed.machine_sweep_speedup": mach["speedup"],
+        }},
+        raw={"simspeed": {"modes": modes, "conformance_sweep": conf,
+                          "machine_sweep": mach}},
+        floor_misses=[
+            f"{name} = {value:.1f}x < {SWEEP_SPEEDUP_FLOOR:.0f}x"
+            for name, value in (("conformance sweep", conf["speedup"]),
+                                ("machine sweep", mach["speedup"]))
+            if value < SWEEP_SPEEDUP_FLOOR
+        ],
+    )

@@ -1,4 +1,4 @@
-"""SLO gate: ``python -m repro.bench.slo_bench``.
+"""The ``slo`` leg of :mod:`repro.bench.gate`.
 
 The operability spine of the multi-tenant service (see
 :mod:`repro.obs.slo`): three legs over seeded deterministic load.
@@ -9,8 +9,8 @@ The operability spine of the multi-tenant service (see
   (tracking never touches the clock), re-running produces a
   byte-identical ``repro-slo/1`` stream, and no tenant burns any error
   budget (``nominal_slo_hit_rate == 1``).
-* **blame** — every solo-checked job of the nominal leg is decomposed
-  with :func:`~repro.obs.critpath.blame_decomposition` against its solo
+* **blame** — every job of the nominal leg is decomposed with
+  :func:`~repro.obs.critpath.blame_decomposition` against its solo
   replay; the six components must sum to the observed mux-vs-solo delta
   within ``BLAME_TOLERANCE`` on every job (``blame_exact_hit_rate``).
 * **overload** — a priority tenant with a tight SLO shares the device
@@ -21,40 +21,32 @@ The operability spine of the multi-tenant service (see
   back under the target (p95), while the deferral counter proves
   best-effort actually waited.
 
-Exit codes: 1 on conformance failure (session/SLI drift, racy hazards,
-inexact blame), 2 on a floor miss (no burn alert, no recovery, no
-deferrals, speedup below floor).
-
-Gated counters are *clamped* like the other bench gates so the
-committed baseline never moves on faster machines; raw values live
-under the manifest's ungated ``"slo_bench"`` key, and the full SLO
-snapshots and blame rows land under ``"slo"`` / ``"blame"`` for
-``obs.report --slo/--blame``.  The per-tenant nominal p95s are emitted
-as ``bench.slo.tenant.<t>.p95_ms`` counters and gated by the committed
+Session/SLI drift, racy hazards and inexact blame are conformance
+failures; no burn alert, no recovery, no deferrals or a speedup below
+the floor are floor misses.  Raw values live under the manifest's
+ungated ``"slo_bench"`` key, and the full SLO snapshots and blame rows
+land under ``"slo"`` / ``"blame"`` for ``obs.report --slo/--blame``.
+The per-tenant nominal p95s are emitted as
+``bench.slo.tenant.<t>.p95_ms`` counters and gated by the committed
 baseline through one wildcard pattern (``bench.slo.tenant.*.p95_ms``),
 exercising the compare gate's dynamic-key expansion.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
 from pathlib import Path
 from typing import Any
 
 from ..obs.critpath import blame_decomposition, blame_summary
-from ..obs.metrics import MetricsRegistry
 from ..obs.slo import SloPolicy
 from ..service import Service, run_solo
+from .report import LegResult
 from .service_bench import (
-    N_JOBS,
-    PRIORITY_TENANT,
-    QUICK_SOLO_BEST_EFFORT,
     TENANTS,
     TOTAL_SLOTS,
     _p95,
     _run_leg,
+    _service,
     _submit_all,
     arrivals,
 )
@@ -68,12 +60,17 @@ NOMINAL_OBJECTIVE = 0.95
 BLAME_TOLERANCE = 1e-9
 
 #: Clamp bounds for the gated counters — chosen past what the committed
-#: configuration measures, so the baseline sits exactly at the clamp.
+#: configuration measures, so the baseline sits exactly at the bound.
 #: Do not change without regenerating BENCH_slo.json.
-TENANT_P95_FLOOR_MS = 6.5
-BACKPRESSURE_SPEEDUP_CEILING = 2.0
+BOUNDS = {
+    "bench.slo.nominal_slo_hit_rate": 1.0,
+    "bench.slo.blame_exact_hit_rate": 1.0,
+    "bench.slo.overload_detection_hits": 1.0,
+    "bench.slo.backpressure_p95_speedup": 2.0,
+    "bench.slo.tenant.*.p95_ms": 6.5,
+}
 
-#: Hard floors (exit 2).
+#: Hard floors.
 BACKPRESSURE_SPEEDUP_FLOOR = 1.1
 
 #: The overload mix: one tight-SLO priority tenant submitting a steady
@@ -104,10 +101,7 @@ OVERLOAD_POLICY = SloPolicy(
 
 def _run_nominal_leg(policies: dict[str, float]):
     """The service_bench contention mix with SLO tracking armed."""
-    svc = Service(total_slots=TOTAL_SLOTS, scheduler="fair", slo=policies)
-    svc.add_tenant(PRIORITY_TENANT, 2.0, priority=True)
-    for t in TENANTS[1:]:
-        svc.add_tenant(t, 1.0)
+    svc = _service("fair", slo=policies)
     jobs = _submit_all(svc, arrivals())
     report = svc.run()
     session = svc.session.to_bytes()
@@ -141,16 +135,11 @@ def _run_overload_leg(*, backpressure: bool):
     return report, tracker, deferrals
 
 
-def _blame_rows(report, jobs, *, quick: bool) -> tuple[list[dict[str, Any]], list[str]]:
-    """Blame every selected nominal-leg job against its solo replay."""
+def _blame_rows(report, jobs) -> tuple[list[dict[str, Any]], list[str]]:
+    """Blame every nominal-leg job against its solo replay."""
     failures: list[str] = []
     rows: list[dict[str, Any]] = []
-    be_taken = 0
     for jid, a in jobs.items():
-        if quick and a.tenant != PRIORITY_TENANT:
-            if be_taken >= QUICK_SOLO_BEST_EFFORT:
-                continue
-            be_taken += 1
         solo = run_solo(a.tenant, workload=a.workload,
                         workload_kwargs=dict(a.kwargs, seed=a.seed),
                         total_slots=TOTAL_SLOTS)
@@ -168,7 +157,7 @@ def _blame_rows(report, jobs, *, quick: bool) -> tuple[list[dict[str, Any]], lis
     return rows, failures
 
 
-def run(out: Path, *, quick: bool = False) -> int:
+def run(out_dir: Path) -> LegResult:
     failures: list[str] = []
 
     # -- nominal: monitored == unmonitored, zero burn --------------------
@@ -195,7 +184,7 @@ def run(out: Path, *, quick: bool = False) -> int:
     hit_rate = 1.0 - (burned / total_jobs if total_jobs else 0.0)
 
     # -- blame: exact decomposition against solo replays -----------------
-    blame_jobs, blame_failures = _blame_rows(nom_rep, nom_jobs, quick=quick)
+    blame_jobs, blame_failures = _blame_rows(nom_rep, nom_jobs)
     failures.extend(blame_failures)
     summary = blame_summary(blame_jobs)
     blame_hit_rate = (
@@ -231,9 +220,7 @@ def run(out: Path, *, quick: bool = False) -> int:
     )
 
     if failures:
-        for f in failures:
-            print(f"FAIL conformance: {f}", file=sys.stderr)
-        return 1
+        return LegResult(conformance=failures)
 
     print(f"nominal: {int(total_jobs)} jobs, {burned:.0f} budget burned "
           f"(hit rate {hit_rate:.3f}), monitored session byte-identical, "
@@ -250,22 +237,16 @@ def run(out: Path, *, quick: bool = False) -> int:
           f"{'-' if recovered_p95 is None else format(recovered_p95*1e3, '.3f')}"
           f" ms")
 
-    bench = MetricsRegistry()
     gated = {
-        "bench.slo.nominal_slo_hit_rate": min(hit_rate, 1.0),
-        "bench.slo.blame_exact_hit_rate": min(blame_hit_rate, 1.0),
-        "bench.slo.overload_detection_hits": min(float(alerts_nobp), 1.0),
-        "bench.slo.backpressure_p95_speedup":
-            min(speedup, BACKPRESSURE_SPEEDUP_CEILING),
+        "bench.slo.nominal_slo_hit_rate": hit_rate,
+        "bench.slo.blame_exact_hit_rate": blame_hit_rate,
+        "bench.slo.overload_detection_hits": float(alerts_nobp),
+        "bench.slo.backpressure_p95_speedup": speedup,
         "bench.slo.recovered_p95_under_target":
             1.0 if recovered_under_target else 0.0,
     }
     for t in sorted(tenant_p95):
-        p95_ms = (tenant_p95[t] or 0.0) * 1e3
-        gated[f"bench.slo.tenant.{t}.p95_ms"] = max(
-            p95_ms, TENANT_P95_FLOOR_MS)
-    for name, value in gated.items():
-        bench.counter(name).inc(value)
+        gated[f"bench.slo.tenant.{t}.p95_ms"] = (tenant_p95[t] or 0.0) * 1e3
 
     raw = {
         "nominal": {
@@ -274,7 +255,7 @@ def run(out: Path, *, quick: bool = False) -> int:
                               for t, v in sorted(tenant_p95.items())},
         },
         "blame": {
-            "jobs_checked": len(blame_jobs), "quick": quick,
+            "jobs_checked": len(blame_jobs),
             "max_residual": summary["max_residual"],
             "hit_rate": blame_hit_rate,
         },
@@ -291,18 +272,6 @@ def run(out: Path, *, quick: bool = False) -> int:
             "policy": OVERLOAD_POLICY.to_dict(),
         },
     }
-
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps({
-        "schema": "repro-run-manifest/1",
-        "metrics": bench.snapshot(),
-        "slo": {"nominal": nom_snapshot,
-                "overload": over_tracker.snapshot(),
-                "overload_backpressure": bp_tracker.snapshot()},
-        "blame": {"jobs": blame_jobs, "summary": summary},
-        "slo_bench": raw,
-    }, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {len(gated)} gated counters to {out}")
 
     floor_misses = []
     if hit_rate < 1.0:
@@ -324,24 +293,14 @@ def run(out: Path, *, quick: bool = False) -> int:
         floor_misses.append(
             f"backpressure p95 speedup {speedup:.3f} < "
             f"{BACKPRESSURE_SPEEDUP_FLOOR}")
-    if floor_misses:
-        for miss in floor_misses:
-            print(f"FAIL floor: {miss}", file=sys.stderr)
-        return 2
-    return 0
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--out", default="BENCH_slo.json",
-                        help="run-manifest output path (default BENCH_slo.json)")
-    parser.add_argument("--quick", action="store_true",
-                        help="blame-check only the priority tenant's jobs plus "
-                             "a couple of best-effort ones (CI mode); the "
-                             "gated counters are identical either way")
-    args = parser.parse_args(argv)
-    return run(Path(args.out), quick=args.quick)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    return LegResult(
+        metrics={"counters": gated},
+        raw={
+            "slo": {"nominal": nom_snapshot,
+                    "overload": over_tracker.snapshot(),
+                    "overload_backpressure": bp_tracker.snapshot()},
+            "blame": {"jobs": blame_jobs, "summary": summary},
+            "slo_bench": raw,
+        },
+        floor_misses=floor_misses,
+    )

@@ -33,7 +33,6 @@ it from the iterator's known traversal order.
 from __future__ import annotations
 
 import contextlib
-import warnings
 from typing import Callable, Sequence
 
 from ..cuda.runtime import CudaRuntime
@@ -60,15 +59,7 @@ class TileAcc:
         read_only: bool = False,
         eviction: str | EvictionPolicy | None = None,
         retry: RetryPolicy | None = None,
-        policy: str | EvictionPolicy | None = None,
     ) -> None:
-        if policy is not None:
-            warnings.warn(
-                "TileAcc(policy=...) is deprecated; use eviction=...",
-                DeprecationWarning, stacklevel=2,
-            )
-            if eviction is None:
-                eviction = policy
         if eviction is None:
             eviction = "lru"
         if acc.cuda is not runtime:

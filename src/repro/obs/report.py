@@ -742,14 +742,14 @@ def main(argv: list[str] | None = None) -> int:
         slo = manifest.get("slo")
         if not slo:
             print(f"error: {args.run} carries no 'slo' snapshot "
-                  "(write one with repro.bench.slo_bench)", file=sys.stderr)
+                  "(write one with python -m repro.bench.gate slo)", file=sys.stderr)
             return 2
         tables.append(slo_table(slo))
     if args.blame:
         blame = manifest.get("blame")
         if not blame:
             print(f"error: {args.run} carries no 'blame' decomposition "
-                  "(write one with repro.bench.slo_bench)", file=sys.stderr)
+                  "(write one with python -m repro.bench.gate slo)", file=sys.stderr)
             return 2
         tables.append(blame_table(blame, top=args.top))
     if args.critpath:

@@ -1,6 +1,6 @@
-"""Tests for the live-telemetry harness leg (repro.bench.live).
+"""Tests for the live-telemetry leg (repro.bench.live).
 
-The full ``python -m repro.bench.live`` sweep runs in CI; here each
+The full sweep runs through the gate in ``test_gate.py``; here each
 mechanism is exercised with fast, shrunken legs.
 """
 
@@ -72,7 +72,6 @@ class TestManifest:
     def test_shape_matches_report_cli_contract(self, tmp_path):
         entries = [run_leg(nominal_leg(), tmp_path)]
         manifest = _manifest(entries)
-        assert manifest["schema"] == "repro-run-manifest/1"
         assert set(manifest["legs"]) == {"mini_nominal"}
         assert manifest["alerts"] == []
         assert manifest["health"]["mini_nominal"]["status"] == "ok"

@@ -1,8 +1,4 @@
-"""Simulator-speed gate: drift check, measurements, manifest, exit codes."""
-
-import json
-
-import pytest
+"""Simulator-speed leg: drift check and measurements (gated in test_gate)."""
 
 from repro.bench import simspeed
 
@@ -49,71 +45,3 @@ class TestMeasurements:
         out = simspeed.measure_machine_sweep(n_candidates=6)
         assert out["candidates"] == 6
         assert out["speedup"] > 1.0
-
-
-class TestRunAndGate:
-    @pytest.fixture
-    def canned(self, monkeypatch):
-        """Replace the heavy measurements; keep the real manifest logic."""
-        monkeypatch.setattr(simspeed, "drift_check", lambda: [])
-        monkeypatch.setattr(simspeed, "measure_modes", lambda: {
-            "device_ops": 100.0,
-            "functional_wall_s": 1.0, "functional_ops_per_s": 100.0,
-            "timing_wall_s": 0.01, "timing_ops_per_s": 10_000.0,
-            "replay_wall_s": 0.001, "replay_ops_per_s": 100_000.0,
-            "timing_speedup": 100.0, "replay_speedup": 1000.0,
-        })
-        sweeps = {"conf": 25.0, "mach": 14.0}
-        monkeypatch.setattr(simspeed, "measure_conformance_sweep", lambda: {
-            "legs": 64.0, "full_wall_s": 2.5, "replay_wall_s": 0.1,
-            "speedup": sweeps["conf"],
-        })
-        monkeypatch.setattr(simspeed, "measure_machine_sweep", lambda: {
-            "candidates": 96.0, "measure_wall_s": 0.4, "replay_wall_s": 0.03,
-            "speedup": sweeps["mach"],
-        })
-        return sweeps
-
-    def test_manifest_clamps_gated_counters(self, canned, tmp_path):
-        out = tmp_path / "simspeed.json"
-        assert simspeed.run(out) == 0
-        manifest = json.loads(out.read_text())
-        counters = manifest["metrics"]["counters"]
-        assert counters["bench.simspeed.timing_speedup"] == \
-            simspeed.TIMING_SPEEDUP_CEILING
-        assert counters["bench.simspeed.replay_speedup"] == \
-            simspeed.REPLAY_SPEEDUP_CEILING
-        assert counters["bench.simspeed.conformance_sweep_speedup"] == \
-            simspeed.SWEEP_SPEEDUP_CEILING
-        assert counters["bench.simspeed.machine_sweep_speedup"] == \
-            simspeed.SWEEP_SPEEDUP_CEILING
-        # the raw, unclamped numbers stay inspectable but ungated
-        assert manifest["simspeed"]["conformance_sweep"]["speedup"] == 25.0
-        assert manifest["schema"] == "repro-run-manifest/1"
-
-    def test_drift_exits_one(self, canned, monkeypatch, tmp_path):
-        monkeypatch.setattr(simspeed, "drift_check",
-                            lambda: ["heat: trace differs between modes"])
-        assert simspeed.run(tmp_path / "m.json") == 1
-
-    def test_floor_miss_exits_two(self, canned, monkeypatch, tmp_path):
-        monkeypatch.setattr(simspeed, "measure_machine_sweep", lambda: {
-            "candidates": 96.0, "measure_wall_s": 0.4, "replay_wall_s": 0.06,
-            "speedup": simspeed.SWEEP_SPEEDUP_FLOOR - 1.0,
-        })
-        out = tmp_path / "m.json"
-        assert simspeed.run(out) == 2
-        # the manifest is still written, so the miss is inspectable
-        assert out.exists()
-
-    def test_committed_baseline_sits_at_the_ceilings(self):
-        from pathlib import Path
-
-        baseline = json.loads(
-            Path(__file__).resolve().parents[2]
-            .joinpath("BENCH_simspeed.json").read_text())
-        counters = baseline["metrics"]["counters"]
-        assert counters["bench.simspeed.conformance_sweep_speedup"] == \
-            simspeed.SWEEP_SPEEDUP_CEILING
-        assert counters["bench.simspeed.machine_sweep_speedup"] == \
-            simspeed.SWEEP_SPEEDUP_CEILING

@@ -244,29 +244,6 @@ class TestContextManager:
 
 
 class TestDeprecatedAliases:
-    def test_malloc_host_alias_warns(self, runtime):
-        with pytest.warns(DeprecationWarning, match="malloc_pinned"):
-            buf = runtime.malloc_host((8,), np.float64)
-        assert buf.pinned
-
-    def test_host_malloc_alias_warns(self, runtime):
-        with pytest.warns(DeprecationWarning, match="malloc_pageable"):
-            buf = runtime.host_malloc((8,), np.float64)
-        assert not buf.pinned
-
-    def test_tile_acc_policy_kwarg_warns(self, machine):
-        rt = CudaRuntime(machine, functional=True)
-        acc = AccRuntime(rt)
-        ta = TileArray((16,), n_regions=4, runtime=rt, label="f")
-        with pytest.warns(DeprecationWarning, match="eviction"):
-            mgr = TileAcc(rt, acc, ta, policy="modulo")
-        assert type(mgr.policy).__name__ == "ModuloPolicy"
-
-    def test_add_array_policy_kwarg_warns(self, machine):
-        lib = TidaAcc(machine, functional=True)
-        with pytest.warns(DeprecationWarning, match="eviction"):
-            lib.add_array("u", (16,), n_regions=4, policy="modulo")
-
     def test_new_names_are_warning_free(self, machine, recwarn):
         rt = CudaRuntime(machine, functional=True)
         rt.malloc_pinned((8,), np.float64)

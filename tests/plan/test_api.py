@@ -37,12 +37,6 @@ class TestTopLevelExports:
 
 
 class TestHaloParameter:
-    def test_ghost_alias_warns_but_works(self, machine):
-        lib = TidaAcc(machine, functional=True)
-        with pytest.warns(DeprecationWarning, match="use halo="):
-            ta = lib.add_array("u", (16, 16), n_regions=2, ghost=2)
-        assert ta.ghost == (2, 2)
-
     def test_halo_auto_derives_from_footprints(self, machine):
         lib = TidaAcc(machine, functional=True)
         ta = lib.add_array("u", (16, 16), n_regions=2, halo="auto",
