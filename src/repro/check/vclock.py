@@ -5,45 +5,101 @@ Timelines are hashable keys — ``("stream", runtime_id, stream_id)``,
 every device plus the host thread.  Ticks are assigned by the checker
 (one global counter per timeline); the clock itself only stores and
 merges them.
+
+Storage is dense: a process-wide intern table gives every timeline a
+small integer index in order of first appearance, and a clock is a
+numpy ``int64`` array of ticks indexed by it.  A timeline past the end
+of the array, or at tick 0, has not been seen.  The checker's keys are
+already dense (per-checker runtime aliases × per-runtime stream ids),
+so the arrays stay as short as the number of streams a session created,
+and :meth:`VectorClock.join` is one ``np.maximum`` over the common
+prefix plus a copy of the longer tail instead of a Python loop over
+every stream the session ever ticked.
 """
 
 from __future__ import annotations
 
 from typing import Hashable, Iterable
 
+import numpy as np
+
 Timeline = Hashable
+
+#: Timeline -> array index, shared by every clock in the process.  Only
+#: positions depend on it, never a result, and it stays small: checkers
+#: alias runtimes densely and every runtime numbers its streams from 1,
+#: so runs in one process keep meeting the same keys.
+_INDEX: dict[Timeline, int] = {}
+#: Index -> timeline (the inverse of ``_INDEX``).
+_TIMELINES: list[Timeline] = []
+
+_EMPTY = np.zeros(0, dtype=np.int64)
+
+
+def _intern(tid: Timeline) -> int:
+    i = _INDEX.get(tid)
+    if i is None:
+        i = _INDEX[tid] = len(_TIMELINES)
+        _TIMELINES.append(tid)
+    return i
 
 
 class VectorClock:
     """A mapping ``timeline -> last-seen tick`` with join/covers."""
 
-    __slots__ = ("_c",)
+    __slots__ = ("_a",)
 
     def __init__(self, clocks: dict[Timeline, int] | None = None) -> None:
-        self._c: dict[Timeline, int] = dict(clocks) if clocks else {}
+        # the shared empty array is never written: set() and join() grow
+        # a clock into a fresh array before writing past its end
+        self._a: np.ndarray = _EMPTY
+        for tid, tick in (clocks or {}).items():
+            self.set(tid, tick)
 
     def copy(self) -> "VectorClock":
-        return VectorClock(self._c)
+        vc = VectorClock()
+        vc._a = self._a.copy()
+        return vc
 
     def get(self, tid: Timeline) -> int:
-        return self._c.get(tid, 0)
+        i = _INDEX.get(tid)
+        a = self._a
+        return a.item(i) if i is not None and i < len(a) else 0
 
     def set(self, tid: Timeline, tick: int) -> None:
-        if tick > self._c.get(tid, 0):
-            self._c[tid] = tick
+        i = _intern(tid)
+        a = self._a
+        if i >= len(a):
+            if tick <= 0:
+                return
+            grown = np.zeros(i + 1, dtype=np.int64)
+            grown[:len(a)] = a
+            self._a = a = grown
+        if tick > a.item(i):
+            a[i] = tick
 
     def join(self, other: "VectorClock | None") -> "VectorClock":
         """Pointwise maximum, in place; returns self for chaining."""
         if other is not None:
-            c = self._c
-            for tid, tick in other._c.items():
-                if tick > c.get(tid, 0):
-                    c[tid] = tick
+            a, b = self._a, other._a
+            n, m = len(a), len(b)
+            if n == m:
+                np.maximum(a, b, out=a)
+            elif n > m:
+                head = a[:m]
+                np.maximum(head, b, out=head)
+            elif n:
+                grown = b.copy()
+                head = grown[:n]
+                np.maximum(head, a, out=head)
+                self._a = grown
+            else:
+                self._a = b.copy()
         return self
 
     def covers(self, tid: Timeline, tick: int) -> bool:
         """True when this clock has seen ``tid`` up to (and incl.) ``tick``."""
-        return self._c.get(tid, 0) >= tick
+        return self.get(tid) >= tick
 
     def covers_any(self, epochs: Iterable[tuple[Timeline, int]]) -> bool:
         """True when any of an event's (timeline, tick) epochs is covered.
@@ -52,18 +108,21 @@ class VectorClock:
         devices' streams) is one event: seeing it on either timeline means
         it happened-before the observer.
         """
-        c = self._c
-        return any(c.get(tid, 0) >= tick for tid, tick in epochs)
+        get = self.get
+        return any(get(tid) >= tick for tid, tick in epochs)
 
     def __len__(self) -> int:
-        return len(self._c)
+        return int(np.count_nonzero(self._a))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, VectorClock):
             return NotImplemented
-        return self._c == other._c
+        a, b = self._a, other._a
+        if len(a) < len(b):
+            a, b = b, a
+        return bool(np.array_equal(a[:len(b)], b)) and not a[len(b):].any()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        inner = ", ".join(f"{tid}:{tick}" for tid, tick in sorted(
-            self._c.items(), key=repr))
+        items = [(_TIMELINES[i], t) for i, t in enumerate(self._a.tolist()) if t]
+        inner = ", ".join(f"{tid}:{tick}" for tid, tick in sorted(items, key=repr))
         return f"VC({inner})"

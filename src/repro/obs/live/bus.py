@@ -19,13 +19,15 @@ Design constraints, all load-bearing:
 * **bounded cost** — exactly one sample per crossed interval boundary,
   no matter how far one blocking sync jumps time (a jump over k
   boundaries back-fills k samples, so detector windows see a uniform
-  cadence), and the window accounting is O(watched counters).
+  cadence), and a sample reads only what changed since the previous
+  one: new trace events and newly registered instruments.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable
@@ -57,18 +59,129 @@ WATCHED_COUNTERS: dict[str, str] = {
 WATCHED_MARKS: tuple[str, ...] = ("iteration", "fault-inject", "fault-retry", "hazard")
 
 
-def _merge_intervals(ivs: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    if not ivs:
-        return ivs
-    ivs.sort()
-    merged = [ivs[0]]
-    for lo, hi in ivs[1:]:
-        if lo <= merged[-1][1]:
-            if hi > merged[-1][1]:
-                merged[-1] = (merged[-1][0], hi)
+#: ``sum()`` of floats is compensated (Neumaier) from Python 3.12 on and
+#: a plain left-to-right fold before.  The running totals of
+#: :class:`_Union` replay whichever the builtin does, so a total read
+#: incrementally equals ``sum()`` over the from-scratch merge bit for bit.
+_COMPENSATED_SUM = sum([1.0, 1e100, 1.0, -1e100]) == 2.0
+
+
+class _Union:
+    """The union of closed intervals as sorted, merged pieces (touching
+    ones joined, exactly what a from-scratch sort-and-merge builds), with
+    the running state of summing their lengths left to right.
+
+    ``start`` and ``compensated`` pick the fold: ``(0, _COMPENSATED_SUM)``
+    is the builtin ``sum()``, ``(0.0, False)`` a plain ``total += x``.
+    """
+
+    __slots__ = ("lo", "hi", "_acc", "_stale", "_compensated")
+
+    def __init__(self, start: float, compensated: bool) -> None:
+        self.lo: list[float] = []
+        self.hi: list[float] = []
+        # _acc[k]: the fold's (total, compensation) state after k pieces
+        self._acc: list[tuple[float, float]] = [(start, 0.0)]
+        self._stale = 0   # first piece whose running state must be redone
+        self._compensated = compensated
+
+    def add(self, a: float, b: float) -> float:
+        """Merge ``[a, b]`` in; returns the start of the piece it landed in
+        (every piece starting before it is unchanged)."""
+        lo, hi = self.lo, self.hi
+        i = bisect_left(hi, a)
+        j = bisect_right(lo, b, i)
+        if i < j:
+            a, b = min(a, lo[i]), max(b, hi[j - 1])
+        lo[i:j] = [a]
+        hi[i:j] = [b]
+        self._stale = min(self._stale, i)
+        return a
+
+    def replace_from(self, x: float, pieces: list[tuple[float, float]]) -> None:
+        """Drop the pieces starting at or after ``x``; append ``pieces``."""
+        k = bisect_left(self.lo, x)
+        del self.lo[k:], self.hi[k:]
+        for a, b in pieces:
+            self.lo.append(a)
+            self.hi.append(b)
+        self._stale = min(self._stale, k)
+
+    def _step(self, state: tuple[float, float], x: float) -> tuple[float, float]:
+        s, c = state
+        t = s + x
+        if self._compensated:
+            c += (s - t) + x if abs(s) >= abs(x) else (x - t) + s
+        return t, c
+
+    def total(self, t: float) -> float:
+        """Summed length of the union clipped to ``(-inf, t]``."""
+        acc, k = self._acc, self._stale
+        del acc[k + 1:]
+        for a, b in zip(self.lo[k:], self.hi[k:]):
+            acc.append(self._step(acc[-1], b - a))
+        self._stale = len(self.lo)
+        k = bisect_left(self.lo, t)
+        if not k:
+            return acc[0][0]
+        s, c = self._step(acc[k - 1], min(self.hi[k - 1], t) - self.lo[k - 1])
+        return s + c if c else s
+
+
+def _pieces_from(p: _Union, q: _Union, x: float) -> list[tuple[float, float]]:
+    """The positive-length pieces of ``p ∩ q`` from the first spans of
+    each that end after ``x`` on; when no piece of ``p`` or of ``q``
+    straddles ``x``, these are exactly the pieces starting at or after it."""
+    out = []
+    i, j = bisect_right(p.hi, x), bisect_right(q.hi, x)
+    while i < len(p.lo) and j < len(q.lo):
+        lo = max(p.lo[i], q.lo[j])
+        hi = min(p.hi[i], q.hi[j])
+        if hi > lo:
+            out.append((lo, hi))
+        if p.hi[i] <= q.hi[j]:
+            i += 1
         else:
-            merged.append((lo, hi))
-    return merged
+            j += 1
+    return out
+
+
+class _Activity:
+    """Kernel, copy and all-activity unions of a trace, plus the
+    kernel ∩ copy pieces, fed only the events recorded since last time.
+
+    An event recorded late (``host_compute`` records its span after the
+    clock advance that emitted samples inside it) re-merges from the
+    first piece it touches, so totals move retroactively exactly as a
+    from-scratch merge of the whole trace would.
+    """
+
+    def __init__(self) -> None:
+        self.kernel = _Union(0, _COMPENSATED_SUM)
+        self.copy = _Union(0, _COMPENSATED_SUM)
+        self.active = _Union(0, _COMPENSATED_SUM)
+        self.overlap = _Union(0.0, False)
+
+    def add(self, events: Iterable[Any]) -> None:
+        changed = math.inf
+        for e in events:
+            if e.end <= e.start:
+                continue
+            if e.category == "kernel":
+                changed = min(changed, self.kernel.add(e.start, e.end))
+            elif e.category in ("h2d", "d2h"):
+                changed = min(changed, self.copy.add(e.start, e.end))
+            elif e.category != "host":
+                continue
+            self.active.add(e.start, e.end)
+        if changed < math.inf:
+            # pieces starting before `changed` come from unchanged spans
+            self.overlap.replace_from(
+                changed, _pieces_from(self.kernel, self.copy, changed))
+
+    def totals(self, t: float) -> tuple[float, float, float, float]:
+        return (self.kernel.total(t), self.copy.total(t),
+                self.overlap.total(t), self.active.total(t))
 
 
 class TelemetrySubscriber:
@@ -208,6 +321,8 @@ class TelemetryBus:
         self._last_t = 0.0
         self._last_totals: dict[str, float] = {}
         self._mark_cursor = 0
+        self._event_cursor = 0
+        self._spans = _Activity()
         self._mark_totals: dict[str, float] = {m: 0.0 for m in WATCHED_MARKS}
         self._seq = 0
         self._in_sample = False
@@ -344,7 +459,10 @@ class TelemetryBus:
         overshoot or clump.  This reads the trace instead: kernel spans
         vs. h2d/d2h spans vs. host-compute spans, each clipped to ``t``,
         interval-merged, and (for overlap) intersected — exact per-window
-        attribution no matter how far one advancement jumped.
+        attribution no matter how far one advancement jumped.  Only the
+        events recorded since the previous call are read; the unions
+        they merge into keep running totals, so a sample costs a bisect
+        and one addition per quantity.
 
         ``active`` is the union of engine *and* host-compute activity;
         ``t - active`` is dead time — the host blocked or backing off
@@ -354,41 +472,10 @@ class TelemetryBus:
         """
         if self._trace is None:
             return (0.0, 0.0, 0.0, 0.0)
-        comp: list[tuple[float, float]] = []
-        trans: list[tuple[float, float]] = []
-        host: list[tuple[float, float]] = []
-        for e in self._trace.events:
-            if e.start >= t:
-                continue
-            end = min(e.end, t)
-            if end <= e.start:
-                continue
-            if e.category == "kernel":
-                comp.append((e.start, end))
-            elif e.category in ("h2d", "d2h"):
-                trans.append((e.start, end))
-            elif e.category == "host":
-                host.append((e.start, end))
-        comp = _merge_intervals(comp)
-        trans = _merge_intervals(trans)
-        active = _merge_intervals(comp + trans + _merge_intervals(host))
-        overlap = 0.0
-        i = j = 0
-        while i < len(comp) and j < len(trans):
-            lo = max(comp[i][0], trans[j][0])
-            hi = min(comp[i][1], trans[j][1])
-            if hi > lo:
-                overlap += hi - lo
-            if comp[i][1] <= trans[j][1]:
-                i += 1
-            else:
-                j += 1
-        return (
-            sum(b - a for a, b in comp),
-            sum(b - a for a, b in trans),
-            overlap,
-            sum(b - a for a, b in active),
-        )
+        new = self._trace.events_since(self._event_cursor)
+        self._event_cursor += len(new)
+        self._spans.add(new)
+        return self._spans.totals(t)
 
     def _on_clock(self, now: float) -> None:
         if self._in_sample or self._closed:

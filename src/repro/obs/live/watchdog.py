@@ -474,17 +474,14 @@ class TenantStarvationDetector(Detector):
     def _tenants(self) -> list[str]:
         if self.metrics is None:
             return []
-        snap = self.metrics.snapshot()
-        names = set()
-        for key in snap.get("counters", {}):
-            if key.startswith("service.tenant.") and key.endswith(".quanta"):
-                names.add(key[len("service.tenant."):-len(".quanta")])
+        head = len("service.tenant.")
+        names = {c.name[head:-len(".quanta")] for c in
+                 self.metrics.family("counter", "service.tenant.", ".quanta")}
         # quanta counters are created on first *scheduled* quantum, so a
         # fully starved tenant — the one this detector exists for — is
         # only visible through its backlog gauge
-        for key in snap.get("gauges", {}):
-            if key.startswith("service.tenant.") and key.endswith(".backlog"):
-                names.add(key[len("service.tenant."):-len(".backlog")])
+        names.update(g.name[head:-len(".backlog")] for g in
+                     self.metrics.family("gauge", "service.tenant.", ".backlog"))
         return sorted(names)
 
     def _observe(self, sample: TelemetrySample) -> None:

@@ -291,6 +291,9 @@ class MetricsRegistry:
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
+        # registration order per kind, and the family lookups read from it
+        self._registered: dict[str, list[Any]] = {"counter": [], "gauge": []}
+        self._families: dict[tuple[str, str, str], list[Any]] = {}
         if _collection is not None:
             _collection.append(self)
 
@@ -302,6 +305,7 @@ class MetricsRegistry:
         c = self._counters.get(name)
         if c is None:
             c = self._counters[name] = Counter(name)
+            self._registered["counter"].append(c)
         return c
 
     def gauge(self, name: str) -> Gauge:
@@ -310,6 +314,7 @@ class MetricsRegistry:
         g = self._gauges.get(name)
         if g is None:
             g = self._gauges[name] = Gauge(name)
+            self._registered["gauge"].append(g)
         return g
 
     def histogram(self, name: str, buckets: Sequence[float] = DEFAULT_BUCKETS) -> Histogram:
@@ -342,22 +347,40 @@ class MetricsRegistry:
         don't pollute snapshots with empty series."""
         return self._histograms.get(name)
 
+    def family(self, kind: str, prefix: str, suffix: str = "") -> list[Any]:
+        """The counters (``kind="counter"``) or gauges (``"gauge"``) whose
+        name starts with ``prefix`` and ends with ``suffix``, in
+        registration order.
+
+        The list is cached per ``(kind, prefix, suffix)`` and extended only
+        with instruments registered since the previous lookup, so a
+        periodic reader pays for what is new rather than rescanning every
+        instrument the run ever created.  Callers must not modify it.
+        """
+        registered = self._registered[kind]
+        fam = self._families.get((kind, prefix, suffix))
+        if fam is None:
+            fam = self._families[(kind, prefix, suffix)] = [[], 0]
+        members, seen = fam
+        if seen < len(registered):
+            members.extend(i for i in registered[seen:]
+                           if i.name.startswith(prefix) and i.name.endswith(suffix))
+            fam[1] = len(registered)
+        return members
+
     def sum_counters(self, prefix: str) -> float:
         """Sum of every counter whose name starts with ``prefix``.
 
         The telemetry bus uses this to fold per-field instrument families
         (``cache.hits.<field>``, ...) into one sampled series.
         """
-        return sum(c.value for n, c in self._counters.items() if n.startswith(prefix))
+        return sum([c.value for c in self.family("counter", prefix)])
 
     def max_gauge(self, prefix: str, suffix: str = "") -> float:
         """Largest *current* value among gauges whose name starts with
         ``prefix`` (and, when given, ends with ``suffix``); 0.0 when none
         exist."""
-        vals = [
-            g.value for n, g in self._gauges.items()
-            if n.startswith(prefix) and n.endswith(suffix)
-        ]
+        vals = [g.value for g in self.family("gauge", prefix, suffix)]
         return max(vals) if vals else 0.0
 
     # -- snapshots ----------------------------------------------------------
@@ -386,3 +409,6 @@ class MetricsRegistry:
         self._counters.clear()
         self._gauges.clear()
         self._histograms.clear()
+        for registered in self._registered.values():
+            registered.clear()
+        self._families.clear()

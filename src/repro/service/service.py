@@ -223,6 +223,7 @@ class Service:
         self.on_finish: Callable[[JobResult, "Service"], None] | None = None
         self.tenants: dict[str, Tenant] = {}
         self._queued: list[_Job] = []
+        self._backlog: dict[str, int] = {}   # last published per tenant
         self._running: list[_Job] = []
         self._draining: list[tuple[_Job, float]] = []
         self._results: dict[str, JobResult] = {}
@@ -348,8 +349,14 @@ class Service:
 
     # -- per-tenant observability -------------------------------------------
 
-    def _update_backlog(self, tenant: str) -> None:
-        backlog = sum(1 for j in self._queued if j.tenant == tenant)
+    def _update_backlog(self, tenant: str, backlog: int | None = None) -> None:
+        """Publish the tenant's backlog: its queued jobs that have arrived
+        (a job submitted with a future ``at=`` is not waiting yet)."""
+        if backlog is None:
+            now = self.now
+            backlog = sum(1 for j in self._queued
+                          if j.tenant == tenant and j.arrival <= now)
+        self._backlog[tenant] = backlog
         self.metrics.set_gauge(f"service.tenant.{tenant}.backlog", backlog)
 
     def _note_wait(self, job: _Job, reason: str | None) -> None:
@@ -591,6 +598,13 @@ class Service:
             (j for j in self._queued if j.arrival <= now),
             key=lambda j: (not self.tenants[j.tenant].priority, j.arrival, j.seq),
         )
+        arrived: dict[str, int] = {}
+        for job in ready:
+            arrived[job.tenant] = arrived.get(job.tenant, 0) + 1
+        for tenant, n in arrived.items():
+            if self._backlog.get(tenant) != n:
+                # a future-dated job has arrived since the last update
+                self._update_backlog(tenant, n)
         cap = self.per_tenant_concurrency
         for job in ready:
             if cap is not None:

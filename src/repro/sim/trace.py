@@ -150,6 +150,13 @@ class Trace:
     def events(self) -> tuple[TraceEvent, ...]:
         return tuple(self._events)
 
+    def events_since(self, start: int) -> list[TraceEvent]:
+        """Span events recorded at index ``start`` or later (incremental
+        reads, like :meth:`marks_since`)."""
+        if start < 0:
+            start = 0
+        return self._events[start:]
+
     def filter(self, predicate: Callable[[TraceEvent], bool]) -> list[TraceEvent]:
         return [e for e in self._events if predicate(e)]
 

@@ -128,6 +128,29 @@ class TestTelemetryLifecycle:
                       if a.detector == "tenant_starvation"]
         assert starvation == []
 
+    def test_watchdog_quiet_while_future_jobs_wait_to_arrive(self):
+        # a job submitted with a future at= is not backlogged until it
+        # arrives: a tenant whose only job lies 20 sample windows ahead
+        # must not read as starved while the clock runs towards it
+        bus = TelemetryBus()
+        svc = Service(telemetry=bus)
+        svc.add_tenant("a", 1.0)
+        svc.add_tenant("b", 1.0)
+        svc.submit("a", workload="heat", workload_kwargs=HEAT_KW, at=0.0)
+        svc.submit("b", workload="heat", workload_kwargs=HEAT_KW,
+                   at=20 * bus.sample_interval)
+        backlog = svc.metrics.gauge("service.tenant.b.backlog")
+        assert backlog.value == 0
+        report = svc.run()
+        svc.close()
+        assert report.racy_hazards == 0
+        assert len(report.jobs) == 2
+        starvation = [a for a in bus.alerts
+                      if a.detector == "tenant_starvation"]
+        assert starvation == []
+        # once it arrived the job was counted until its admission
+        assert (backlog.value, backlog.max) == (0, 1)
+
     def test_per_tenant_counters_published(self):
         svc = Service()
         svc.add_tenant("t")
