@@ -8,7 +8,6 @@ from pathlib import Path
 from typing import Any
 
 from ..errors import ReproError
-from ..sim.trace import Trace
 
 
 @dataclass
@@ -86,46 +85,6 @@ class Table:
         for note in self.notes:
             lines.append(f"\n*{note}*")
         return "\n".join(lines)
-
-    @classmethod
-    def from_trace(cls, trace: Trace, *, title: str = "trace summary") -> "Table":
-        """Performance-counter view of a run's trace.
-
-        Rows: wall span; per-engine busy time, utilization, operation
-        count; transfer byte totals and achieved bandwidths; overlap
-        fractions both ways (transfer hidden behind compute and vice
-        versa).  This is the at-a-glance check that a pipeline behaved.
-        """
-        table = cls(title=title, columns=["metric", "value", "unit"])
-        span = trace.span()
-        table.add_row("span", span, "s")
-        for lane in ("compute", "h2d", "d2h"):
-            busy = trace.busy_time(lane)
-            ops = len(trace.by_lane(lane))
-            table.add_row(f"{lane} busy", busy, "s")
-            table.add_row(f"{lane} utilization", busy / span if span else 0.0, "fraction")
-            table.add_row(f"{lane} operations", ops, "count")
-        for category in ("h2d", "d2h"):
-            events = trace.by_category(category)
-            nbytes = sum(e.nbytes for e in events)
-            seconds = sum(e.duration for e in events)
-            table.add_row(f"{category} bytes", nbytes, "B")
-            table.add_row(
-                f"{category} achieved bandwidth",
-                nbytes / seconds if seconds else 0.0,
-                "B/s",
-            )
-        table.add_row(
-            "transfer hidden behind compute",
-            trace.overlap_fraction(["h2d", "d2h"], ["compute"]),
-            "fraction",
-        )
-        table.add_row(
-            "compute overlapped with transfer",
-            trace.overlap_fraction(["compute"], ["h2d", "d2h"]),
-            "fraction",
-        )
-        return table
 
     def to_json(self) -> dict[str, Any]:
         """The JSON payload: title, columns, raw (unformatted) rows, notes."""

@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from ..kernels.exchange import bc_faces_kernel, ghost_copy_kernel
-from ..sim.trace import Trace
+from ..sim.intervals import IntervalUnion
 from ..tida.boundary import BoundaryCondition, Dirichlet, Neumann, domain_faces
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -81,7 +81,7 @@ def fill_boundary_hybrid(
     m_kernel_s = metrics.counter("ghost.kernel_seconds")
     m_launches = metrics.counter("ghost.kernel_launches")
     m_overlap_s = metrics.counter("ghost.hybrid_overlap_seconds")
-    kernel_intervals: list[tuple[float, float]] = []
+    kernels = IntervalUnion()
 
     def _host_index(label: str, n_cells: int) -> None:
         duration = _index_time(machine, n_cells)
@@ -89,7 +89,7 @@ def fill_boundary_hybrid(
         runtime.host_compute(label, duration)
         m_index_s.inc(duration)
         # overlap achieved = host interval ∩ already-queued ghost kernels
-        for lo, hi in Trace._merge_intervals(kernel_intervals):
+        for lo, hi in zip(kernels.lo, kernels.hi):
             m_overlap_s.inc(max(0.0, min(hi, h0 + duration) - max(lo, h0)))
 
     def _note_kernel(end: float) -> None:
@@ -97,9 +97,9 @@ def fill_boundary_hybrid(
         m_launches.inc()
         if ev is not None and ev.category == "kernel":
             m_kernel_s.inc(ev.duration)
-            kernel_intervals.append((ev.start, ev.end))
+            kernels.add(ev.start, ev.end)
         else:  # pragma: no cover - launch always records the kernel event
-            kernel_intervals.append((end, end))
+            kernels.add(end, end)
 
     host_bytes = 0
     for region in ta.regions:

@@ -382,10 +382,6 @@ class SlotPartitioner:
             )
         self._held[tenant] -= n_slots
 
-    def over_quota(self, tenant: str) -> int:
-        """Slots held beyond quota (0 when at or under fair share)."""
-        return max(0, self._held[tenant] - self._quota[tenant])
-
     def headroom(self, tenant: str) -> int:
         """Slots the tenant may still claim inside its quota (>= 0)."""
         return max(0, self._quota[tenant] - self._held[tenant])

@@ -114,12 +114,6 @@ class MultiGpuRuntime:
             raise CudaInvalidValueError(f"device index {index} out of range")
         return self.devices[index]
 
-    def device_index_of(self, runtime: CudaRuntime) -> int:
-        for i, dev in enumerate(self.devices):
-            if dev is runtime:
-                return i
-        raise CudaInvalidValueError("runtime does not belong to this multi-GPU group")
-
     def peer_copy(
         self,
         dst_device: int,

@@ -49,6 +49,7 @@ from typing import Any, Iterable, Sequence
 
 from ..check.dag import DagNode, dag_from_json
 from ..config import DEFAULT_MACHINE, MachineSpec
+from ..sim.intervals import IntervalUnion, intersection
 from ..sim.trace import Trace
 
 __all__ = [
@@ -424,12 +425,12 @@ def overlap_report(dag: RunDag) -> list[dict[str, Any]]:
 
     An iteration runs between consecutive ``iteration`` marks (the
     library emits one per ``swap``); a run without marks is one
-    iteration.  Within each window, ``compute`` is the summed busy time
-    of kernel-kind nodes and ``transfer`` of copy-engine nodes (both
-    clipped to the window); the pipeline cannot finish the window
-    faster than ``ideal = max(compute, transfer)``, and the overlap it
-    *achieved* is ``compute + transfer - wall`` out of an ideal
-    ``min(compute, transfer)``.
+    iteration.  Within each window, ``compute`` and ``transfer`` are the
+    merged busy time of kernel-kind and copy-engine nodes (clipped to
+    the window; two copy engines busy at once count once).  The pipeline
+    cannot finish the window faster than ``ideal = max(compute,
+    transfer)``; the overlap it *achieved* is the length of their
+    intersection, out of an ideal ``min(compute, transfer)``.
     """
     if not dag.nodes:
         return []
@@ -440,33 +441,35 @@ def overlap_report(dag: RunDag) -> list[dict[str, Any]]:
             bounds.append(ts)
     bounds.append(t_end)
     windows = len(bounds) - 1
-    compute = [0.0] * windows
-    transfer = [0.0] * windows
-    # one pass in op order: each node adds its clipped time to the
-    # windows it spans, so every window sums its nodes in op order
-    for n in dag.nodes:
-        sums = transfer if n.kind in TRANSFER_KINDS else compute
-        first = max(bisect_right(bounds, n.start) - 1, 0)
-        for i in range(first, min(bisect_left(bounds, n.end), windows)):
-            clip = min(n.end, bounds[i + 1]) - max(n.start, bounds[i])
-            if clip <= 0:
-                continue
-            sums[i] += clip
+    kernels = IntervalUnion((n.start, n.end) for n in dag.nodes if n.kind not in TRANSFER_KINDS)
+    copies = IntervalUnion((n.start, n.end) for n in dag.nodes if n.kind in TRANSFER_KINDS)
+    compute, transfer, both = [0.0] * windows, [0.0] * windows, [0.0] * windows
+    # each merged piece adds its clipped length to the windows it spans,
+    # so every window sums its pieces in time order
+    for sums, pieces in ((compute, zip(kernels.lo, kernels.hi)),
+                         (transfer, zip(copies.lo, copies.hi)),
+                         (both, intersection(kernels, copies))):
+        for a, b in pieces:
+            first = max(bisect_right(bounds, a) - 1, 0)
+            for i in range(first, min(bisect_left(bounds, b), windows)):
+                clip = min(b, bounds[i + 1]) - max(a, bounds[i])
+                if clip > 0:
+                    sums[i] += clip
     rows: list[dict[str, Any]] = []
     for i in range(windows):
         lo, hi = bounds[i], bounds[i + 1]
         if hi <= lo:
             continue
-        wall = hi - lo
-        ideal = max(compute[i], transfer[i])
         ideal_overlap = min(compute[i], transfer[i])
-        achieved = max(0.0, compute[i] + transfer[i] - wall)
+        # the intersection lies inside both unions; summing its pieces
+        # can still round an ulp past the shorter side's total
+        achieved = min(both[i], ideal_overlap)
         rows.append({
             "iteration": i,
-            "wall_s": wall,
+            "wall_s": hi - lo,
             "compute_s": compute[i],
             "transfer_s": transfer[i],
-            "ideal_s": ideal,
+            "ideal_s": max(compute[i], transfer[i]),
             "achieved_overlap_s": achieved,
             "ideal_overlap_s": ideal_overlap,
             "efficiency": (achieved / ideal_overlap) if ideal_overlap > 0 else 1.0,

@@ -27,11 +27,11 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable
 
+from ...sim.intervals import IntervalUnion, intersection
 from ..metrics import MetricsRegistry, ObsError
 
 #: Cumulative counter series sampled into every ``TelemetrySample``.
@@ -59,93 +59,6 @@ WATCHED_COUNTERS: dict[str, str] = {
 WATCHED_MARKS: tuple[str, ...] = ("iteration", "fault-inject", "fault-retry", "hazard")
 
 
-#: ``sum()`` of floats is compensated (Neumaier) from Python 3.12 on and
-#: a plain left-to-right fold before.  The running totals of
-#: :class:`_Union` replay whichever the builtin does, so a total read
-#: incrementally equals ``sum()`` over the from-scratch merge bit for bit.
-_COMPENSATED_SUM = sum([1.0, 1e100, 1.0, -1e100]) == 2.0
-
-
-class _Union:
-    """The union of closed intervals as sorted, merged pieces (touching
-    ones joined, exactly what a from-scratch sort-and-merge builds), with
-    the running state of summing their lengths left to right.
-
-    ``start`` and ``compensated`` pick the fold: ``(0, _COMPENSATED_SUM)``
-    is the builtin ``sum()``, ``(0.0, False)`` a plain ``total += x``.
-    """
-
-    __slots__ = ("lo", "hi", "_acc", "_stale", "_compensated")
-
-    def __init__(self, start: float, compensated: bool) -> None:
-        self.lo: list[float] = []
-        self.hi: list[float] = []
-        # _acc[k]: the fold's (total, compensation) state after k pieces
-        self._acc: list[tuple[float, float]] = [(start, 0.0)]
-        self._stale = 0   # first piece whose running state must be redone
-        self._compensated = compensated
-
-    def add(self, a: float, b: float) -> float:
-        """Merge ``[a, b]`` in; returns the start of the piece it landed in
-        (every piece starting before it is unchanged)."""
-        lo, hi = self.lo, self.hi
-        i = bisect_left(hi, a)
-        j = bisect_right(lo, b, i)
-        if i < j:
-            a, b = min(a, lo[i]), max(b, hi[j - 1])
-        lo[i:j] = [a]
-        hi[i:j] = [b]
-        self._stale = min(self._stale, i)
-        return a
-
-    def replace_from(self, x: float, pieces: list[tuple[float, float]]) -> None:
-        """Drop the pieces starting at or after ``x``; append ``pieces``."""
-        k = bisect_left(self.lo, x)
-        del self.lo[k:], self.hi[k:]
-        for a, b in pieces:
-            self.lo.append(a)
-            self.hi.append(b)
-        self._stale = min(self._stale, k)
-
-    def _step(self, state: tuple[float, float], x: float) -> tuple[float, float]:
-        s, c = state
-        t = s + x
-        if self._compensated:
-            c += (s - t) + x if abs(s) >= abs(x) else (x - t) + s
-        return t, c
-
-    def total(self, t: float) -> float:
-        """Summed length of the union clipped to ``(-inf, t]``."""
-        acc, k = self._acc, self._stale
-        del acc[k + 1:]
-        for a, b in zip(self.lo[k:], self.hi[k:]):
-            acc.append(self._step(acc[-1], b - a))
-        self._stale = len(self.lo)
-        k = bisect_left(self.lo, t)
-        if not k:
-            return acc[0][0]
-        s, c = self._step(acc[k - 1], min(self.hi[k - 1], t) - self.lo[k - 1])
-        return s + c if c else s
-
-
-def _pieces_from(p: _Union, q: _Union, x: float) -> list[tuple[float, float]]:
-    """The positive-length pieces of ``p ∩ q`` from the first spans of
-    each that end after ``x`` on; when no piece of ``p`` or of ``q``
-    straddles ``x``, these are exactly the pieces starting at or after it."""
-    out = []
-    i, j = bisect_right(p.hi, x), bisect_right(q.hi, x)
-    while i < len(p.lo) and j < len(q.lo):
-        lo = max(p.lo[i], q.lo[j])
-        hi = min(p.hi[i], q.hi[j])
-        if hi > lo:
-            out.append((lo, hi))
-        if p.hi[i] <= q.hi[j]:
-            i += 1
-        else:
-            j += 1
-    return out
-
-
 class _Activity:
     """Kernel, copy and all-activity unions of a trace, plus the
     kernel ∩ copy pieces, fed only the events recorded since last time.
@@ -157,10 +70,10 @@ class _Activity:
     """
 
     def __init__(self) -> None:
-        self.kernel = _Union(0, _COMPENSATED_SUM)
-        self.copy = _Union(0, _COMPENSATED_SUM)
-        self.active = _Union(0, _COMPENSATED_SUM)
-        self.overlap = _Union(0.0, False)
+        self.kernel = IntervalUnion()
+        self.copy = IntervalUnion()
+        self.active = IntervalUnion()
+        self.overlap = IntervalUnion(start=0.0, compensated=False)
 
     def add(self, events: Iterable[Any]) -> None:
         changed = math.inf
@@ -177,7 +90,7 @@ class _Activity:
         if changed < math.inf:
             # pieces starting before `changed` come from unchanged spans
             self.overlap.replace_from(
-                changed, _pieces_from(self.kernel, self.copy, changed))
+                changed, intersection(self.kernel, self.copy, changed))
 
     def totals(self, t: float) -> tuple[float, float, float, float]:
         return (self.kernel.total(t), self.copy.total(t),
@@ -374,12 +287,7 @@ class TelemetryBus:
                     bucket.append(eng)
         self._last_t = self._clock.now
         self._last_k = int(math.floor(self._clock.now / self.sample_interval + 1e-12))
-        self._last_totals = self._collect_totals()
-        cb, tb, ob, ab = self._activity(self._clock.now)
-        self._last_totals["compute_busy"] = cb
-        self._last_totals["transfer_busy"] = tb
-        self._last_totals["overlap_seconds"] = ob
-        self._last_totals["active_seconds"] = ab
+        self._last_totals = self._totals(self._clock.now)
         self._write_jsonl({
             "kind": "session",
             "schema": "repro-telemetry/1",
@@ -448,6 +356,13 @@ class TelemetryBus:
             totals[f"marks.{name}"] = count
         return totals
 
+    def _totals(self, t: float) -> dict[str, float]:
+        """Counter totals plus the trace activity clipped to ``t``."""
+        totals = self._collect_totals()
+        totals.update(zip(("compute_busy", "transfer_busy", "overlap_seconds",
+                           "active_seconds"), self._activity(t)))
+        return totals
+
     def _activity(self, t: float) -> tuple[float, float, float, float]:
         """Cumulative (compute_busy, transfer_busy, overlap, active)
         seconds, clipped to virtual time ``t``.
@@ -492,12 +407,7 @@ class TelemetryBus:
     def _emit(self, t: float, *, final: bool) -> None:
         self._in_sample = True
         try:
-            totals = self._collect_totals()
-            cb, tb, ob, ab = self._activity(t)
-            totals["compute_busy"] = cb
-            totals["transfer_busy"] = tb
-            totals["overlap_seconds"] = ob
-            totals["active_seconds"] = ab
+            totals = self._totals(t)
             dt = t - self._last_t
             if dt <= 0:
                 return

@@ -56,11 +56,44 @@ from pathlib import Path
 from typing import Any
 
 from ..bench.report import Table
+from ..sim.intervals import IntervalUnion
 from ..sim.trace import Trace
 from .compare import compare_snapshots
+from .metrics import ObsError
 
 #: Trace categories executed by a hardware engine (stall analysis targets).
 _ENGINE_CATEGORIES = {"kernel", "h2d", "d2h"}
+
+
+#: JSON type of each manifest key the report reads (``null`` counts as absent).
+_MANIFEST_SHAPE = {"traceEvents": list, "metrics": dict, "dag": list,
+                   "critpath": dict, "alerts": list, "health": dict,
+                   "slo": dict, "blame": dict}
+
+
+def _check_shape(data: Any) -> None:
+    """Raise :class:`ObsError` unless ``data`` has the shape of a run
+    manifest or a Chrome event array, down to array entries, metrics
+    sections and event times."""
+    if isinstance(data, list):
+        data = {"traceEvents": data}
+    if not isinstance(data, dict):
+        raise ObsError(f"expected a JSON object or array, got {type(data).__name__}")
+    for key, kind in _MANIFEST_SHAPE.items():
+        if data.get(key) is not None and not isinstance(data[key], kind):
+            raise ObsError(f"'{key}' must be a {kind.__name__}, got {type(data[key]).__name__}")
+    metrics = data.get("metrics") or {}
+    for key, entry in (("counters", (int, float)), ("gauges", dict), ("histograms", dict)):
+        section = metrics.get(key, {})
+        if not (isinstance(section, dict)
+                and all(isinstance(v, entry) for v in section.values())):
+            raise ObsError(f"'metrics.{key}' is not a metrics snapshot section")
+    for key in ("traceEvents", "dag", "alerts"):
+        if not all(isinstance(row, dict) for row in data.get(key) or ()):
+            raise ObsError(f"an entry of '{key}' is not a JSON object")
+    if not all(isinstance(e.get(key, 0), (int, float))
+               for e in data.get("traceEvents") or () for key in ("ts", "dur")):
+        raise ObsError("a trace event's 'ts' or 'dur' is not a number")
 
 
 def load_manifest(
@@ -70,9 +103,11 @@ def load_manifest(
 
     Returns ``(trace, metrics, manifest)`` — the manifest dict gives
     access to the optional ``"dag"`` and ``"critpath"`` keys (empty
-    for a bare Chrome event array).
+    for a bare Chrome event array).  Raises :class:`ObsError` when the
+    JSON is valid but not shaped like either.
     """
     data = json.loads(Path(path).read_text())
+    _check_shape(data)
     if isinstance(data, list):  # bare Chrome event array
         return Trace.from_chrome_trace(data), None, {}
     trace = None
@@ -143,13 +178,12 @@ def stall_table(trace: Trace, *, top: int = 10) -> Table:
              if e.category in _ENGINE_CATEGORIES and e.duration > 0),
             key=lambda e: e.start,
         )
-        if not events:
-            continue
-        cursor = t0
-        for e in events:
-            if e.start > cursor:
-                gaps.append((e.start - cursor, lane, cursor, e.name))
-            cursor = max(cursor, e.end)
+        busy = IntervalUnion((e.start, e.end) for e in events)
+        # a gap ends where a busy piece starts, at the first op starting there
+        first_op = {e.start: e.name for e in reversed(events)}
+        for lo, hi in zip([t0, *busy.hi], busy.lo):
+            if hi > lo:
+                gaps.append((hi - lo, lane, lo, first_op[hi]))
     gaps.sort(key=lambda g: -g[0])
     for width, lane, start, next_op in gaps[:top]:
         table.add_row(lane, start, width, next_op)
@@ -691,14 +725,14 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         trace, metrics, manifest = load_manifest(args.run)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, ObsError) as exc:
         print(f"error: cannot load {args.run}: {exc}", file=sys.stderr)
         return 2
 
     if args.compare is not None:
         try:
             _base_trace, base_metrics = load_run(args.compare)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, json.JSONDecodeError, ObsError) as exc:
             print(f"error: cannot load baseline {args.compare}: {exc}", file=sys.stderr)
             return 2
         if metrics is None or base_metrics is None:

@@ -42,11 +42,33 @@ from ..bench.report import Table
 _CLEAR = "\x1b[2J\x1b[H"
 
 
+#: Fields the panels format as numbers, in whichever record carries them;
+#: the overlap and hit-rate columns print ``null`` as "-".
+_NUMBERS = ("t", "t0", "sample_interval", "h2d_bytes_per_s", "d2h_bytes_per_s",
+            "stall_fraction", "compute_fraction", "transfer_fraction",
+            "queue_depth", "quanta", "slots")
+_NULLABLE = ("overlap_efficiency", "cache_hit_rate")
+
+
+def _renderable(rec: Any) -> bool:
+    """True when ``rec`` is an object with a string ``kind`` whose fields
+    hold what the panels format them as."""
+    if not isinstance(rec, dict) or not isinstance(rec.get("kind"), str):
+        return False
+    trigger = rec.get("trigger", {})      # an incident's own fields
+    return (isinstance(trigger, dict) and isinstance(rec.get("tenant", ""), str)
+            and all(isinstance(r.get(key, 0), (int, float))
+                    for r in (rec, trigger) for key in _NUMBERS)
+            and all(isinstance(rec.get(key), (int, float, type(None)))
+                    for key in _NULLABLE))
+
+
 def parse_session(lines: list[str]) -> dict[str, list[dict[str, Any]]]:
     """Bucket raw JSONL lines by record kind.
 
-    Unparseable or kind-less lines are counted under ``"invalid"`` but
-    never abort — a live file may end mid-write.
+    Unparseable lines, and records the panels could not render (no
+    string kind, a field of the wrong type), are counted under
+    ``"invalid"`` but never abort — a live file may end mid-write.
     """
     records: dict[str, list[dict[str, Any]]] = {
         "session": [], "sample": [], "alert": [], "incident": [], "invalid": [],
@@ -57,11 +79,12 @@ def parse_session(lines: list[str]) -> dict[str, list[dict[str, Any]]]:
             continue
         try:
             rec = json.loads(line)
-            kind = rec["kind"]
-        except (json.JSONDecodeError, TypeError, KeyError):
+        except json.JSONDecodeError:
+            rec = None
+        if not _renderable(rec):
             records["invalid"].append({"raw": line[:80]})
             continue
-        records.setdefault(kind, []).append(rec)
+        records.setdefault(rec["kind"], []).append(rec)
     return records
 
 
@@ -93,8 +116,8 @@ def tenants_table(records: dict[str, list[dict[str, Any]]]) -> Table:
     )
     names: list[str] = []
     for rec in records.get("tenant", []):
-        if rec.get("tenant") not in names:
-            names.append(rec["tenant"])
+        if rec.get("tenant", "?") not in names:
+            names.append(rec.get("tenant", "?"))
 
     def count(kind: str) -> dict[str, int]:
         out: dict[str, int] = {}
@@ -172,7 +195,7 @@ def status_line(records: dict[str, list[dict[str, Any]]]) -> str:
     samples = records["sample"]
     alerts = records["alert"]
     incidents = records["incident"]
-    now = samples[-1]["t"] if samples else session.get("t0", 0.0)
+    now = samples[-1].get("t", 0.0) if samples else session.get("t0", 0.0)
     service_events = [r for kind in _SERVICE_KINDS
                       for r in records.get(kind, [])]
     if service_events:

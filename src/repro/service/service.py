@@ -32,6 +32,7 @@ schedules future arrivals; ``run()`` is the deterministic event loop.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 from typing import Any, Callable
 
@@ -293,6 +294,9 @@ class Service:
                 "submit exactly one of a Program or a workload name",
                 tenant=tenant, reason="bad-submission",
             )
+        if at is not None and not math.isfinite(float(at)):  # NaN would hang run()
+            raise ServiceError(f"submit(at=...) must be a finite virtual time, "
+                               f"got {at!r}", tenant=tenant, reason="bad-submission")
         if workload is not None:
             ws = build_workload(workload, **(workload_kwargs or {}))
             program, inputs = ws.prog, dict(ws.inputs)

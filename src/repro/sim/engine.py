@@ -31,6 +31,8 @@ import heapq
 
 from ..errors import SimulationError
 
+_INF = float("inf")
+
 
 class HostClock:
     """The host thread's position in virtual time.
@@ -63,8 +65,8 @@ class HostClock:
 
     def advance(self, dt: float) -> float:
         """Spend ``dt`` seconds of host time (API call, host compute)."""
-        if dt < 0:
-            raise SimulationError(f"cannot advance clock by negative dt {dt!r}")
+        if not 0 <= dt < _INF:  # also rejects NaN
+            raise SimulationError(f"clock advance must be finite and >= 0, got {dt!r}")
         self._now += dt
         if self._listeners and dt > 0:
             # snapshot: a listener may subscribe/unsubscribe during fan-out
@@ -76,6 +78,8 @@ class HostClock:
 
     def advance_to(self, t: float) -> float:
         """Block the host until virtual time ``t`` (no-op if already past)."""
+        if not -_INF < t < _INF:  # also rejects NaN
+            raise SimulationError(f"clock target must be finite, got {t!r}")
         if t > self._now:
             self._now = t
             if self._listeners:
@@ -261,9 +265,6 @@ class WeightedFairQueue:
         self._priority[key] = bool(priority)
         self._seq[key] = self._next_seq
         self._next_seq += 1
-
-    def is_registered(self, key) -> bool:
-        return key in self._weights
 
     def weight(self, key) -> float:
         return self._weights[key]

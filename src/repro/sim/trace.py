@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator
 
 from ..errors import SimulationError
+from .intervals import IntervalUnion, intersection
 
 #: Event categories used by the runtime.
 CATEGORIES = ("h2d", "d2h", "kernel", "host", "sync")
@@ -121,10 +122,6 @@ class Trace:
     def marks(self) -> tuple[dict[str, Any], ...]:
         return tuple(self._marks)
 
-    @property
-    def n_marks(self) -> int:
-        return len(self._marks)
-
     def marks_since(self, start: int) -> list[dict[str, Any]]:
         """Marks recorded at index ``start`` or later (incremental reads).
 
@@ -192,24 +189,7 @@ class Trace:
         may overlap, and summing durations would double-count it (and
         skew :meth:`overlap_fraction` denominators).
         """
-        merged = self._merge_intervals(
-            [(e.start, e.end) for e in self._events if e.lane == lane]
-        )
-        return sum(hi - lo for lo, hi in merged)
-
-    @staticmethod
-    def _merge_intervals(intervals: list[tuple[float, float]]) -> list[tuple[float, float]]:
-        if not intervals:
-            return []
-        intervals = sorted(intervals)
-        merged = [intervals[0]]
-        for lo, hi in intervals[1:]:
-            last_lo, last_hi = merged[-1]
-            if lo <= last_hi:
-                merged[-1] = (last_lo, max(last_hi, hi))
-            else:
-                merged.append((lo, hi))
-        return merged
+        return IntervalUnion((e.start, e.end) for e in self._events if e.lane == lane).total()
 
     def overlap_time(self, lanes_a: Iterable[str], lanes_b: Iterable[str]) -> float:
         """Total time during which some lane in ``lanes_a`` AND some lane in
@@ -219,23 +199,13 @@ class Trace:
         the pipeline successfully hid behind computation.
         """
         set_a, set_b = set(lanes_a), set(lanes_b)
-        ivs_a = self._merge_intervals(
-            [(e.start, e.end) for e in self._events if e.lane in set_a and e.duration > 0]
-        )
-        ivs_b = self._merge_intervals(
-            [(e.start, e.end) for e in self._events if e.lane in set_b and e.duration > 0]
-        )
+        busy_a = IntervalUnion((e.start, e.end) for e in self._events
+                               if e.lane in set_a and e.duration > 0)
+        busy_b = IntervalUnion((e.start, e.end) for e in self._events
+                               if e.lane in set_b and e.duration > 0)
         total = 0.0
-        i = j = 0
-        while i < len(ivs_a) and j < len(ivs_b):
-            lo = max(ivs_a[i][0], ivs_b[j][0])
-            hi = min(ivs_a[i][1], ivs_b[j][1])
-            if hi > lo:
-                total += hi - lo
-            if ivs_a[i][1] <= ivs_b[j][1]:
-                i += 1
-            else:
-                j += 1
+        for lo, hi in intersection(busy_a, busy_b):
+            total += hi - lo
         return total
 
     def overlap_fraction(self, transfer_lanes: Iterable[str], compute_lanes: Iterable[str]) -> float:

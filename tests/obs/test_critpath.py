@@ -10,6 +10,7 @@ the trace-only fallback, the multi-GPU peer nodes, and the
 """
 
 import json
+import math
 from dataclasses import replace
 
 import pytest
@@ -304,6 +305,49 @@ class TestPcieX2Prediction:
         predicted = base / fast
         assert actual > 1.3     # the workload really is transfer-bound
         assert predicted == pytest.approx(actual, rel=0.05)
+
+
+class TestOverlapBounded:
+    """Compute and transfer are merged busy time and the achieved overlap
+    is their intersection, so two copy engines busy during one kernel
+    count once and no window's efficiency can exceed 1."""
+
+    #: The differential suite's limited-memory run: eviction write-backs
+    #: keep both copy engines busy while kernels run.
+    LIMITED = dict(shape=(48, 24, 24), steps=3, n_regions=8, n_slots=2,
+                   device_memory_limit=2 * 2 * 8 * 8 * 26 * 26 + 4096)
+
+    def test_two_copy_engines_count_once(self):
+        rows = overlap_report(RunDag(nodes=(
+            node(1, "kernel", "compute:k:u.r0", 0.0, 1.0),
+            node(2, "h2d", "h2d:u.r1", 0.0, 1.0),
+            node(3, "d2h", "evict:u.r2", 0.0, 1.0),
+        )))
+        assert [(r["compute_s"], r["transfer_s"], r["achieved_overlap_s"],
+                 r["efficiency"]) for r in rows] == [(1.0, 1.0, 1.0, 1.0)]
+
+    def test_rounding_cannot_push_overlap_past_either_side(self):
+        """One kernel under two copies split by a one-ulp gap: the two
+        rounded piece lengths sum to an ulp more than the kernel's."""
+        a, b, x = 0.000800746590354181, 54.42434189431328, 5.524802112203385
+        y = math.nextafter(x, math.inf)
+        assert (x - a) + (b - y) > b - a
+        rows = overlap_report(RunDag(nodes=(
+            node(1, "kernel", "compute:k:u.r0", a, b),
+            node(2, "h2d", "h2d:u.r1", a, x),
+            node(3, "h2d", "h2d:u.r2", y, b),
+        )))
+        assert rows[0]["achieved_overlap_s"] == b - a
+        assert rows[0]["efficiency"] == 1.0
+
+    def test_limited_memory_rows_bounded(self):
+        run = run_tida_heat(k40m_pcie3(), check="observe", **self.LIMITED)
+        marks = [m["ts"] for m in run.trace.marks if m["name"] == "iteration"]
+        rows = overlap_report(RunDag.from_nodes(run.dag, marks=marks))
+        assert len(rows) == 4
+        for r in rows:
+            assert 0.0 <= r["efficiency"] <= 1.0
+            assert r["achieved_overlap_s"] <= min(r["compute_s"], r["transfer_s"])
 
 
 class TestFromTraceFallback:

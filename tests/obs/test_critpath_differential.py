@@ -4,7 +4,9 @@
 runs one scheduling loop for both :func:`replay` and
 :func:`replay_machine`.  The functions below are the earlier per-node
 implementations, kept verbatim (only renamed ``ref_*`` so they call each
-other), as the reference.  Every output must match byte for byte under
+other), as the reference; ``ref_overlap_report`` instead merges each
+side and intersects the merged lists from scratch, then rescans every
+piece for every window.  Every output must match byte for byte under
 ``json.dumps(sort_keys=True)``: the whole :func:`critpath_summary`, and
 every replayed node's ``(start, end, issue)``.
 
@@ -86,7 +88,19 @@ def ref_critical_path(nodes: Sequence[DagNode]) -> list[PathSegment]:
     return segments
 
 
+def ref_merge(intervals: list[tuple[float, float]]) -> list[tuple[float, float]]:
+    merged: list[tuple[float, float]] = []
+    for lo, hi in sorted(intervals):
+        if merged and lo <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
+        else:
+            merged.append((lo, hi))
+    return merged
+
+
 def ref_overlap_report(dag: RunDag) -> list[dict[str, Any]]:
+    """From scratch: merge each side, intersect the merged lists, and
+    rescan every piece for every window."""
     if not dag.nodes:
         return []
     bounds = [dag.t0]
@@ -94,24 +108,43 @@ def ref_overlap_report(dag: RunDag) -> list[dict[str, Any]]:
         if bounds[-1] < ts < dag.t_end:
             bounds.append(ts)
     bounds.append(dag.t_end)
+    kern = ref_merge([(n.start, n.end) for n in dag.nodes
+                      if n.kind not in TRANSFER_KINDS])
+    copy = ref_merge([(n.start, n.end) for n in dag.nodes
+                      if n.kind in TRANSFER_KINDS])
+    both = []
+    i = j = 0
+    while i < len(kern) and j < len(copy):
+        lo = max(kern[i][0], copy[j][0])
+        hi = min(kern[i][1], copy[j][1])
+        if hi > lo:
+            both.append((lo, hi))
+        if kern[i][1] <= copy[j][1]:
+            i += 1
+        else:
+            j += 1
     rows: list[dict[str, Any]] = []
     for i in range(len(bounds) - 1):
         lo, hi = bounds[i], bounds[i + 1]
         if hi <= lo:
             continue
-        compute = transfer = 0.0
-        for n in dag.nodes:
-            clip = min(n.end, hi) - max(n.start, lo)
-            if clip <= 0:
-                continue
-            if n.kind in TRANSFER_KINDS:
-                transfer += clip
-            else:
+        compute = transfer = achieved = 0.0
+        for a, b in kern:
+            clip = min(b, hi) - max(a, lo)
+            if clip > 0:
                 compute += clip
+        for a, b in copy:
+            clip = min(b, hi) - max(a, lo)
+            if clip > 0:
+                transfer += clip
+        for a, b in both:
+            clip = min(b, hi) - max(a, lo)
+            if clip > 0:
+                achieved += clip
         wall = hi - lo
         ideal = max(compute, transfer)
         ideal_overlap = min(compute, transfer)
-        achieved = max(0.0, compute + transfer - wall)
+        achieved = min(achieved, ideal_overlap)
         rows.append({
             "iteration": i,
             "wall_s": wall,

@@ -5,10 +5,12 @@ import copy
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines.tida_runners import run_tida_heat
 from repro.obs.compare import compare_snapshots, flatten_snapshot, higher_is_better
-from repro.obs.report import build_report, load_run, main
+from repro.obs.report import build_report, load_run, main, stall_table
 from repro.sim.trace import Trace
 
 
@@ -135,6 +137,67 @@ class TestReportCli:
         path.write_text("{}")
         assert main([str(path)]) == 2
         assert "neither" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("payload", [
+        [1, 2, 3], {"metrics": 5}, 5, {"metrics": {"counters": [1]}},
+        {"traceEvents": [{"ph": "X", "ts": "0"}]}, {"alerts": [7]},
+    ])
+    def test_wrong_shape_exits_2_with_one_line(self, payload, manifest_path,
+                                               tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        assert main([str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "bad.json" in err
+        # the same file as a --compare baseline
+        assert main([str(manifest_path), "--compare", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "baseline" in err and "bad.json" in err
+
+
+def ref_stall_gaps(trace: Trace) -> list[tuple[float, str, float, str]]:
+    """The stall table's gaps as a cursor sweep over each engine lane's
+    events in start order, the code the interval union replaced."""
+    t0 = min(e.start for e in trace)
+    gaps = []
+    for lane in trace.lanes():
+        events = sorted(
+            (e for e in trace.by_lane(lane)
+             if e.category in ("kernel", "h2d", "d2h") and e.duration > 0),
+            key=lambda e: e.start,
+        )
+        cursor = t0
+        for e in events:
+            if e.start > cursor:
+                gaps.append((e.start - cursor, lane, cursor, e.name))
+            cursor = max(cursor, e.end)
+    gaps.sort(key=lambda g: -g[0])
+    return gaps
+
+
+spans = st.tuples(
+    st.sampled_from(("kernel", "h2d", "d2h", "host")),
+    st.sampled_from(("compute", "h2d", "d2h", "host")),
+    st.integers(0, 20).map(lambda k: k / 4) | st.floats(0.0, 5.0),
+    st.sampled_from((0.0, 0.25, 1.0)) | st.floats(0.0, 2.0),
+)
+
+
+class TestStallTable:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(spans, min_size=1, max_size=20))
+    def test_matches_cursor_sweep(self, ops):
+        trace = Trace()
+        for k, (category, lane, start, length) in enumerate(ops):
+            trace.record(f"op{k}", category, lane, start, start + length)
+        expected = [[lane, start, width, name]
+                    for width, lane, start, name in ref_stall_gaps(trace)[:100]]
+        assert stall_table(trace, top=100).rows == expected
+
+    def test_heat_run_matches_cursor_sweep(self, heat_run):
+        expected = [[lane, start, width, name]
+                    for width, lane, start, name in ref_stall_gaps(heat_run.trace)[:10]]
+        assert stall_table(heat_run.trace).rows == expected
 
 
 class TestCompareGate:

@@ -84,6 +84,24 @@ class TestParseSession:
         assert len(records["invalid"]) == 1
         assert "invalid_lines=1" in render(records)
 
+    def test_wrong_shape_records_count_as_invalid(self, tmp_path, capsys):
+        path = tmp_path / "odd.jsonl"
+        path.write_text("\n".join(json.dumps(r) for r in [
+            {"kind": "session", "sample_interval": 1e-3, "t0": 0.0},
+            {"kind": "sample", "t": 0.001},
+            {"kind": "sample", "t": "0.002"},
+            {"kind": "sample", "t": 0.003, "overlap_efficiency": "high"},
+            {"kind": "sample", "stall_fraction": "0.5"},
+            {"kind": ["sample"]},
+            [1, 2],
+            {"kind": "incident", "trigger": 5},
+            {"kind": "tenant", "tenant": 3},
+            {"kind": "burn", "tenant": ["a"], "state": "start"},
+        ]) + "\n")
+        assert main([str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "samples=1" in out and "invalid_lines=8" in out
+
 
 def make_service_session(tmp_path, *, burning=False):
     """A hand-built repro-service-session/1 stream (+ optional SLO marks)."""

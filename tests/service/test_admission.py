@@ -154,6 +154,18 @@ class TestServiceErrors:
         svc.close()
         assert exc.value.job == "dup"
 
+    @pytest.mark.parametrize("at", [float("nan"), float("inf")])
+    def test_non_finite_arrival(self, at):
+        """A NaN arrival is neither due nor pending, so run() would spin
+        forever on it; it is refused at submit, naming ``at``."""
+        svc = Service()
+        svc.add_tenant("t")
+        with pytest.raises(ServiceError, match=r"at=") as exc:
+            svc.submit("t", workload="heat", workload_kwargs=HEAT_KW, at=at)
+        svc.close()
+        assert exc.value.reason == "bad-submission"
+        assert exc.value.tenant == "t"
+
     def test_unknown_scheduler_and_policy(self):
         with pytest.raises(ServiceError):
             Service(scheduler="fifo")

@@ -46,6 +46,15 @@ class TestHostClock:
         clock.advance(0.0)
         assert clock.now == 1.0
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_time_rejected(self, bad):
+        clock = HostClock(1.0)
+        with pytest.raises(SimulationError, match="finite"):
+            clock.advance(bad)
+        with pytest.raises(SimulationError, match="finite"):
+            clock.advance_to(bad)
+        assert clock.now == 1.0
+
 
 class TestFifoEngine:
     def test_first_op_starts_at_ready(self):
