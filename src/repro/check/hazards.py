@@ -31,13 +31,19 @@ completion joins that event's clocks.  The simulation's virtual times
 are derived deterministically (no float noise), so exact matching is
 reliable; unmatched components are counted under
 ``check.after_unresolved`` and ignored.
+
+State follows the live program, not its history: buffers and events are
+held weakly and forgotten when they die, and
+:meth:`HazardChecker.retire_streams` drops a finished job's streams and
+every completion time no surviving caller can still name.
 """
 
 from __future__ import annotations
 
 import os
+import weakref
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from typing import Any, Container, Iterable, Sequence
 
 from ..errors import HazardError
 from .dag import DagNode, dag_to_json
@@ -148,6 +154,19 @@ class _StreamState:
     weak: VectorClock = field(default_factory=VectorClock)
 
 
+def _forgetter(refs: dict[int, Any], *states: dict[int, Any]):
+    """A weak-reference callback that drops a dead object's entries.
+
+    It closes over the checker's dicts, not the checker, so tracking an
+    object adds no reference cycle.  CPython runs it before the object's
+    id can be reused, so a new object at the same address starts clean.
+    """
+    def forget(ref: weakref.KeyedRef) -> None:
+        for d in (refs, *states):
+            d.pop(ref.key, None)
+    return forget
+
+
 class HazardChecker:
     """Vector-clock race detection over one (or several) runtimes.
 
@@ -180,21 +199,26 @@ class HazardChecker:
         # the engine objects are retained so ids cannot be recycled
         self._engine_weak: dict[int, VectorClock] = {}
         self._engine_refs: dict[int, Any] = {}
-        # event snapshots (event_record), keyed by object id + retained
-        self._events: dict[int, tuple[VectorClock, VectorClock]] = {}
-        self._event_refs: dict[int, Any] = {}
         # completion-time -> merged clock snapshot (after= resolution)
         self._completions: dict[float, tuple[VectorClock, VectorClock]] = {}
-        # buffer access state keyed by object id + retained
-        self._buffers: dict[int, _BufferState] = {}
-        self._buffer_refs: dict[int, Any] = {}
+        # completion times retire_streams() has not yet let go of
+        self._unretired: list[float] = []
         # -- causal-DAG recording (consumed by repro.obs.critpath) --------
         # one DagNode per record_op, with explicit predecessor edges
         self.dag: list[DagNode] = []
         self._last_stream_op: dict[tuple[int, int], tuple[int, float]] = {}
         self._last_engine_op: dict[int, tuple[int, float]] = {}
         self._completion_ops: dict[float, list[int]] = {}
+        # event snapshots (event_record) and buffer access state, keyed by
+        # object id; the objects are held weakly and their entries dropped
+        # when they die, so a finished job's buffers are not kept alive
+        self._events: dict[int, tuple[VectorClock, VectorClock]] = {}
         self._event_op: dict[int, tuple[int, float] | None] = {}
+        self._event_refs: dict[int, weakref.KeyedRef] = {}
+        self._forget_event = _forgetter(self._event_refs, self._events, self._event_op)
+        self._buffers: dict[int, _BufferState] = {}
+        self._buffer_refs: dict[int, weakref.KeyedRef] = {}
+        self._forget_buffer = _forgetter(self._buffer_refs, self._buffers)
         self._pending_event_deps: dict[tuple[int, int], list[tuple[int, float]]] = {}
         self._host_op: tuple[int, float] | None = None
         self._last_issue = 0.0
@@ -344,6 +368,7 @@ class HazardChecker:
         snap = self._completions.get(end)
         if snap is None:
             self._completions[end] = (strong, weak)
+            self._unretired.append(end)
         else:
             # two ops completing at the same instant: merge (an `after=`
             # equal to that instant depends on both)
@@ -405,7 +430,7 @@ class HazardChecker:
         if st is None:
             label = getattr(buf, "label", "") or f"buf@{key:x}"
             st = self._buffers[key] = _BufferState(label)
-            self._buffer_refs[key] = buf
+            self._buffer_refs[key] = weakref.KeyedRef(buf, self._forget_buffer, key)
         return st
 
     def _report(self, hazard: Hazard, now: float) -> None:
@@ -433,9 +458,11 @@ class HazardChecker:
         """``cudaEventRecord``: snapshot the stream's knowledge."""
         key = (self._rt(runtime_id), stream.stream_id)
         st = self._stream_state(key)
-        self._events[id(event)] = (st.strong, st.weak)
-        self._event_refs[id(event)] = event
-        self._event_op[id(event)] = self._last_stream_op.get(key)
+        ev = id(event)
+        self._events[ev] = (st.strong, st.weak)
+        self._event_op[ev] = self._last_stream_op.get(key)
+        if ev not in self._event_refs:
+            self._event_refs[ev] = weakref.KeyedRef(event, self._forget_event, ev)
 
     def on_stream_wait_event(self, runtime_id: int, stream: Any, event: Any) -> None:
         """``cudaStreamWaitEvent``: the stream acquires the event's snapshot."""
@@ -483,6 +510,35 @@ class HazardChecker:
         self._buffers.pop(key, None)
         self._buffer_refs.pop(key, None)
 
+    def retire_streams(self, runtime_id: int, streams: Iterable[Any], *,
+                       now: float, live: Container[float]) -> None:
+        """A finished job's streams will queue no more work: forget them.
+
+        Drops each stream's clocks, last-op and pending-event entries, and
+        every completion snapshot (with its DAG ops) that ended by ``now``
+        and is not in ``live``, the completion times some surviving caller
+        may still pass as ``after=``.  An op issued later ends after
+        ``now``, so no later op can merge into a dropped time.  Each call
+        visits only the completions recorded since the previous one plus
+        those it kept, so its cost does not grow with the session.
+        ``_ticks`` is kept: stream timelines keep their epochs.
+        Bookkeeping only; the simulation is untouched.
+        """
+        rt = self._rt_ids.get(runtime_id)
+        if rt is not None:
+            for s in streams:
+                key = (rt, s.stream_id)
+                self._streams.pop(key, None)
+                self._last_stream_op.pop(key, None)
+                self._pending_event_deps.pop(key, None)
+        kept = []
+        for t in self._unretired:
+            if t > now or t in live:
+                kept.append(t)
+            else:
+                del self._completions[t], self._completion_ops[t]
+        self._unretired = kept
+
     def reset_schedule(self, *, drop_dag: bool = False) -> None:
         """Forget per-run scheduling state between harness repetitions.
 
@@ -509,6 +565,7 @@ class HazardChecker:
         self._events.clear()
         self._event_refs.clear()
         self._completions.clear()
+        self._unretired.clear()
         self._buffers.clear()
         self._buffer_refs.clear()
         # DAG bookkeeping follows the same rule: ``self.dag`` survives

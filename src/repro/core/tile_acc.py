@@ -33,7 +33,7 @@ it from the iterator's known traversal order.
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from ..cuda.runtime import CudaRuntime
 from ..errors import CudaMemoryAllocationError, FaultError, ReproError, TileAccError
@@ -111,6 +111,8 @@ class TileAcc:
         # replacement H2D uses the slot stream — both copy engines busy
         self._wb_qid = acc.new_auto_queue()
         self._wb_stream = acc.queue(self._wb_qid)
+        #: every stream this manager queues work on, shed slots' included
+        self.streams = [slot.stream for slot in self.slots] + [self._wb_stream]
         self._location: list[str] = [HOST] * n_regions
         self._ready: list[float] = [0.0] * n_regions
         # per-region completion times of the individual device ops still
@@ -235,6 +237,15 @@ class TileAcc:
             self._ready_deps[rid] = self._ready_deps[rid] + (end,)
         if end > self._ready[rid]:
             self._ready[rid] = end
+
+    def live_after_times(self) -> Iterator[float]:
+        """Every completion time this manager may still pass as ``after=``:
+        the readiness deps, slot barriers and unconsumed prefetches."""
+        yield from self._inflight.values()
+        for deps in self._ready_deps:
+            yield from deps
+        for deps in self._slot_after.values():
+            yield from deps
 
     def queue_id_for(self, rid: int) -> int:
         return self.slot_for(rid).queue_id

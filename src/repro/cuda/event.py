@@ -13,7 +13,7 @@ from ..errors import CudaInvalidResourceHandleError, CudaInvalidValueError
 class Event:
     """One CUDA event."""
 
-    __slots__ = ("_time", "_recorded", "_runtime_id")
+    __slots__ = ("_time", "_recorded", "_runtime_id", "__weakref__")
 
     def __init__(self, runtime_id: int) -> None:
         self._time = 0.0

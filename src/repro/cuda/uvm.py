@@ -30,7 +30,7 @@ class ManagedBuffer:
     """A ``cudaMallocManaged`` allocation."""
 
     __slots__ = ("shape", "dtype", "functional", "nbytes", "label", "location",
-                 "_array", "_freed")
+                 "_array", "_freed", "__weakref__")
 
     def __init__(
         self,

@@ -59,7 +59,7 @@ from ..bench.report import Table
 from ..sim.intervals import IntervalUnion
 from ..sim.trace import Trace
 from .compare import compare_snapshots
-from .metrics import ObsError
+from .metrics import Histogram, ObsError
 
 #: Trace categories executed by a hardware engine (stall analysis targets).
 _ENGINE_CATEGORIES = {"kernel", "h2d", "d2h"}
@@ -73,8 +73,8 @@ _MANIFEST_SHAPE = {"traceEvents": list, "metrics": dict, "dag": list,
 
 def _check_shape(data: Any) -> None:
     """Raise :class:`ObsError` unless ``data`` has the shape of a run
-    manifest or a Chrome event array, down to array entries, metrics
-    sections and event times."""
+    manifest or a Chrome event array, down to array entries, the fields
+    of each metrics entry and event times."""
     if isinstance(data, list):
         data = {"traceEvents": data}
     if not isinstance(data, dict):
@@ -88,6 +88,17 @@ def _check_shape(data: Any) -> None:
         if not (isinstance(section, dict)
                 and all(isinstance(v, entry) for v in section.values())):
             raise ObsError(f"'metrics.{key}' is not a metrics snapshot section")
+    for name, g in metrics.get("gauges", {}).items():
+        if not all(isinstance(g.get(k), (int, float)) for k in ("value", "max")):
+            raise ObsError(f"gauge {name!r} needs numeric 'value' and 'max'")
+    for name, h in metrics.get("histograms", {}).items():
+        if not all(isinstance(h.get(k), (int, float)) for k in ("count", "sum")):
+            raise ObsError(f"histogram {name!r} needs numeric 'count' and 'sum'")
+        if h["count"]:   # what flatten_snapshot rebuilds for percentiles
+            try:
+                Histogram.from_snapshot(name, h)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ObsError(f"histogram {name!r} is malformed: {exc!r}") from None
     for key in ("traceEvents", "dag", "alerts"):
         if not all(isinstance(row, dict) for row in data.get(key) or ()):
             raise ObsError(f"an entry of '{key}' is not a JSON object")

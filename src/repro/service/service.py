@@ -32,6 +32,7 @@ schedules future arrivals; ``run()`` is the deterministic event loop.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field as dc_field
 from typing import Any, Callable
@@ -68,6 +69,9 @@ DEFAULT_TOTAL_SLOTS = 32
 
 #: Job lifecycle states.
 QUEUED, RUNNING, DONE = "queued", "running", "done"
+
+#: The knobs ``submit(workload_kwargs=...)`` may set.
+_WORKLOAD_KNOBS = frozenset(inspect.signature(build_workload).parameters) - {"name"}
 
 
 @dataclass
@@ -129,7 +133,8 @@ class _Job:
     """Internal job record."""
 
     __slots__ = (
-        "id", "tenant", "prog", "inputs", "env", "workload", "arrival",
+        "id", "tenant", "prog", "inputs", "env", "workload",
+        "workload_kwargs", "arrival",
         "seq", "state", "plan", "lib", "stepper", "plan_kwargs", "order",
         "order_seed", "tile_shape", "admit_t", "finish_t", "slots_held",
         "degraded", "shed", "shared_fields", "registered", "footprint",
@@ -246,6 +251,19 @@ class Service:
 
     def add_tenant(self, name: str, weight: float = 1.0, *,
                    priority: bool = False) -> Tenant:
+        """Register a tenant.  Raises ``ServiceError``, with the service
+        unchanged, for a name already in use or a weight that is not a
+        finite number > 0."""
+        if name in self.tenants:
+            raise ServiceError(f"tenant {name!r} already exists",
+                               tenant=name, reason="duplicate-tenant")
+        try:
+            ok = 0 < float(weight) < math.inf
+        except (TypeError, ValueError):
+            ok = False
+        if not ok:
+            raise ServiceError(f"add_tenant(weight=...) must be a finite number "
+                               f"> 0, got {weight!r}", tenant=name, reason="bad-weight")
         tenant = Tenant(name, float(weight), bool(priority))
         self.tenants[name] = tenant
         self.partitioner.add_tenant(name, weight, priority=priority)
@@ -298,8 +316,17 @@ class Service:
             raise ServiceError(f"submit(at=...) must be a finite virtual time, "
                                f"got {at!r}", tenant=tenant, reason="bad-submission")
         if workload is not None:
-            ws = build_workload(workload, **(workload_kwargs or {}))
-            program, inputs = ws.prog, dict(ws.inputs)
+            workload_kwargs = dict(workload_kwargs or {})
+            unknown = sorted(set(workload_kwargs) - _WORKLOAD_KNOBS)
+            if unknown:
+                raise ServiceError(
+                    f"submit(workload_kwargs=...) has unknown knob(s) {unknown}; "
+                    f"build_workload takes {sorted(_WORKLOAD_KNOBS)}",
+                    tenant=tenant, reason="bad-submission",
+                )
+            # built here to plan and validate; the inputs are rebuilt at
+            # admission (_try_admit), so a queued job holds no arrays
+            program = build_workload(workload, **workload_kwargs).prog
         job_id = name if name is not None else f"{tenant}.j{self._jobs_ever}"
         if job_id in self._results or any(
             j.id == job_id for j in self._queued + self._running
@@ -335,8 +362,9 @@ class Service:
 
         job = _Job(
             id=job_id, tenant=tenant, prog=program,
-            inputs=dict(inputs or {}), env=dict(env or {}),
-            workload=workload, arrival=arrival, seq=self._jobs_ever,
+            inputs=None if workload is not None else dict(inputs or {}),
+            env=dict(env or {}), workload=workload,
+            workload_kwargs=workload_kwargs, arrival=arrival, seq=self._jobs_ever,
             state=QUEUED, plan=None, lib=None, stepper=None,
             plan_kwargs=dict(plan_kwargs), order=order,
             order_seed=order_seed, tile_shape=tile_shape,
@@ -441,6 +469,8 @@ class Service:
             capped = max(1, allowed // max(len(plan.fields), 1))
             plan = self._plan_job(job, n_slots=capped)
 
+        if job.inputs is None:
+            job.inputs = dict(build_workload(job.workload, **job.workload_kwargs).inputs)
         shareable = self._shareable_fields(job, plan)
         borrowed = {
             f: key for f, key in shareable.items() if key in self._datasets
@@ -755,18 +785,33 @@ class Service:
             self.on_finish(result, self)
 
     def _reap_drained(self) -> None:
-        """Release slots of finished jobs whose writebacks have completed."""
+        """Release slots of finished jobs whose writebacks have completed
+        and retire their streams' checker state."""
         now = self.now
-        still = []
+        still, streams = [], []
         for job, end in self._draining:
             if end > now:
                 still.append((job, end))
                 continue
             for fname in sorted(job.plan.fields):
                 if fname not in job.lib._shared:
-                    job.lib.manager(fname).release_device_memory()
+                    mgr = job.lib.manager(fname)
+                    mgr.release_device_memory()
+                    streams.extend(mgr.streams)
             self.partitioner.release(job.tenant, job.slots_held)
         self._draining = still
+        checker = self.runtime.checker
+        if streams and checker is not None:
+            # every after= a job issues comes from a live manager (or a
+            # kernel of the same call): their names are all that survives
+            live: set[float] = set()
+            managers = [ds["manager"] for ds in self._datasets.values()]
+            for job in self._running + [job for job, _end in still]:
+                managers.extend(job.lib.manager(f) for f in job.lib.field_names())
+            for mgr in managers:
+                live.update(mgr.live_after_times())
+            checker.retire_streams(self.runtime._runtime_id, streams,
+                                   now=now, live=live)
 
     def run(self) -> ServiceReport:
         """Drain the queue deterministically; returns the aggregate report."""

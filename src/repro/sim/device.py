@@ -32,7 +32,7 @@ class DeviceBuffer:
     """
 
     __slots__ = ("shape", "dtype", "functional", "nbytes", "_array", "_freed",
-                 "label", "pool")
+                 "label", "pool", "__weakref__")
 
     def __init__(
         self,

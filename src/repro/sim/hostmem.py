@@ -48,7 +48,7 @@ class HostBuffer:
     """
 
     __slots__ = ("shape", "dtype", "pinned", "functional", "size", "nbytes",
-                 "_array", "_freed", "label")
+                 "_array", "_freed", "label", "__weakref__")
 
     def __init__(
         self,

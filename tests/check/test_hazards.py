@@ -376,6 +376,52 @@ class TestLifecycle:
         rt.reset_schedule()
         assert len(rt.checker.hazards) == found
 
+    def test_dead_buffer_leaves_no_state_for_its_id(self, rt):
+        # a buffer dropped without free_host: the checker holds it weakly,
+        # so it dies, and its recorded write must not reach a new buffer
+        # that CPython places at the same address (same id)
+        d, d2 = rt.malloc(1024, label="d"), rt.malloc(1024, label="d2")
+        s1, s2 = rt.create_stream(), rt.create_stream()
+        h = rt.malloc_pinned(1024)
+        rt.memcpy_async(h, d, s1)            # D2H: writes h
+        key = id(h)
+        del h
+        spare = []
+        for _ in range(1000):
+            h = rt.malloc_pinned(1024)
+            if id(h) == key:
+                break
+            spare.append(h)
+        assert id(h) == key, "the dead buffer was kept alive"
+        rt.memcpy_async(d2, h, s2)           # reads the new h, no edge
+        assert rt.checker.hazards == []
+
+    def test_dead_event_leaves_no_snapshot(self, rt):
+        s = rt.create_stream()
+        ev = rt.create_event()
+        rt.event_record(ev, s)
+        assert len(rt.checker._events) == 1
+        del ev
+        assert rt.checker._events == {} and rt.checker._event_refs == {}
+
+    def test_retire_streams_keeps_named_and_pending_completions(self, rt):
+        d = rt.malloc(1024, label="d")
+        h = rt.malloc_pinned(1024, label="h")
+        s1, s2 = rt.create_stream(), rt.create_stream()
+        first = rt.memcpy_async(d, h, s1)
+        second = rt.memcpy_async(h, d, s1, after=first)
+        later = rt.memcpy_async(d, h, s2, after=second)
+        ch = rt.checker
+        timelines = len(ch._ticks)
+        ch.retire_streams(rt._runtime_id, [s1], now=second, live=[first])
+        assert set(ch._streams) == {(1, s2.stream_id)}
+        assert set(ch._completions) == {first, later}
+        assert set(ch._completion_ops) == {first, later}
+        assert len(ch._ticks) == timelines
+        # a kept completion still resolves; the dropped one is unresolved
+        rt.memcpy_async(h, d, s2, after=(first, second))
+        assert rt.metrics.value("check.after_unresolved") == 1
+
     def test_wait_on_unknown_event_is_no_edge(self, rt):
         # an event recorded before the checker was armed (or reset away)
         # resolves to no snapshot: the wait adds no edge, and must not blow up

@@ -155,6 +155,30 @@ class TestReportCli:
         assert err.count("\n") == 1 and "baseline" in err and "bad.json" in err
 
 
+    @pytest.mark.parametrize("entry", [
+        {"gauges": {"g": {"value": 1.0}}},
+        {"gauges": {"g": {"value": "1", "max": 1.0}}},
+        {"histograms": {"h": {"sum": 1.0}}},
+        {"histograms": {"h": {"count": 2}}},
+        {"histograms": {"h": {"count": 2, "sum": 1.0, "buckets": [1.0],
+                              "counts": [2]}}},
+        {"histograms": {"h": {"count": 2, "sum": 1.0, "buckets": [2.0, 1.0],
+                              "counts": [1, 1, 0]}}},
+        {"histograms": {"h": {"count": 2, "sum": 1.0, "buckets": [1.0],
+                              "counts": [1, 1], "min": "low"}}},
+    ])
+    def test_malformed_metric_entry_exits_2_with_one_line(
+            self, entry, manifest_path, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"metrics": entry}))
+        assert main([str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "bad.json" in err
+        assert main([str(manifest_path), "--compare", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "baseline" in err and "bad.json" in err
+
+
 def ref_stall_gaps(trace: Trace) -> list[tuple[float, str, float, str]]:
     """The stall table's gaps as a cursor sweep over each engine lane's
     events in start order, the code the interval union replaced."""

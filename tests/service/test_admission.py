@@ -166,6 +166,57 @@ class TestServiceErrors:
         assert exc.value.reason == "bad-submission"
         assert exc.value.tenant == "t"
 
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf"), 0, -1.0, "heavy"])
+    def test_bad_tenant_weight(self, weight):
+        """A non-finite or non-positive weight is refused before any state
+        changes: the service keeps working (NaN used to poison the slot
+        partitioner for every later add_tenant)."""
+        svc = Service()
+        svc.add_tenant("a")
+        with pytest.raises(ServiceError, match=r"weight") as exc:
+            svc.add_tenant("b", weight)
+        assert exc.value.reason == "bad-weight"
+        assert exc.value.tenant == "b"
+        assert list(svc.tenants) == ["a"]
+        svc.add_tenant("b", 2.0)
+        jid = svc.submit("b", workload="heat", workload_kwargs=HEAT_KW)
+        assert svc.run().jobs[jid].finished > 0
+        svc.close()
+
+    def test_duplicate_tenant(self):
+        svc = Service()
+        svc.add_tenant("a", 2.0, priority=True)
+        with pytest.raises(ServiceError, match=r"'a'") as exc:
+            svc.add_tenant("a", 1.0)
+        svc.close()
+        assert exc.value.reason == "duplicate-tenant"
+        assert exc.value.tenant == "a"
+        assert svc.tenants["a"].weight == 2.0 and svc.tenants["a"].priority
+        assert svc.wfq._weights["a"] == 2.0
+
+    def test_unknown_workload_knob(self):
+        svc = Service()
+        svc.add_tenant("t")
+        with pytest.raises(ServiceError, match=r"bogus") as exc:
+            svc.submit("t", workload="heat", workload_kwargs={"bogus": 1})
+        svc.close()
+        assert exc.value.reason == "bad-submission"
+        assert exc.value.tenant == "t"
+        assert not svc._queued
+
+    def test_bad_knob_fails_at_submit_not_run(self):
+        """A queued job rebuilds its inputs at admission; a knob that
+        cannot build must still be refused by submit, even for a job
+        dated in the future, so run() never meets it."""
+        svc = Service()
+        svc.add_tenant("t")
+        good = svc.submit("t", workload="heat", workload_kwargs=HEAT_KW, at=1e-3)
+        with pytest.raises(ServiceError, match=r"kappa"):
+            svc.submit("t", workload="heat", at=2e-3,
+                       workload_kwargs=dict(HEAT_KW, kappa=3))
+        assert list(svc.run().jobs) == [good]
+        svc.close()
+
     def test_unknown_scheduler_and_policy(self):
         with pytest.raises(ServiceError):
             Service(scheduler="fifo")

@@ -14,11 +14,13 @@ into spurious alerts on the next).
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro.cuda.runtime import CudaRuntime
 from repro.obs.live.bus import TelemetryBus
-from repro.service import Service, run_solo
+from repro.service import LoadGenerator, Service, TrafficPattern, run_solo
 
 HEAT_KW = {"shape": (16, 8, 8), "steps": 1, "seed": 0}
 
@@ -164,3 +166,55 @@ class TestTelemetryLifecycle:
 if __name__ == "__main__":  # pragma: no cover
     import sys
     sys.exit(pytest.main([__file__, "-v"]))
+
+
+class TestBoundedCheckerState:
+    """A reaped job leaves nothing in the hazard checker: its buffers die
+    with it and its streams and completion snapshots are retired, so a
+    session holds the same checker state after 2N jobs as after N."""
+
+    KW = {"heat": {"shape": (16, 8, 8), "steps": 2},
+          "coeff-heat": {"shape": (16, 8, 8), "steps": 2}}
+
+    def _session(self, n_jobs):
+        svc = Service(total_slots=16)
+        svc.add_tenant("vip", 2.0, priority=True)
+        svc.add_tenant("be", 1.0)
+        gen = LoadGenerator(1, ["vip", "be"], workloads=tuple(self.KW),
+                            workload_kwargs=self.KW,
+                            pattern=TrafficPattern(mean_gap=1e-4, burst_size=2))
+        gen.replay_open(svc, n_jobs)
+        report = svc.run()
+        svc.close()
+        gc.collect()
+        checker = svc.runtime.checker
+        return {
+            "buffers": len(checker._buffers),
+            "streams": len(checker._streams),
+            "completions": len(checker._completions),
+            "dedup_hits": svc.metrics.value("service.dedup_hits"),
+            "jobs": len(report.jobs),
+        }
+
+    def test_checker_state_does_not_grow_with_the_session(self):
+        n, n2 = self._session(12), self._session(24)
+        assert (n["jobs"], n2["jobs"]) == (12, 24)
+        assert n2["dedup_hits"] > n["dedup_hits"] > 0
+        for key in ("buffers", "streams", "completions"):
+            assert n2[key] == n[key], key
+
+    def test_shed_slot_stream_is_retired(self):
+        # the slot a priority job takes from a best-effort pool is gone
+        # from the pool when the job is reaped; its stream goes too
+        svc = Service(device_memory_limit=3_000_000, admission_policy="queue")
+        svc.add_tenant("be")
+        svc.add_tenant("vip", priority=True)
+        svc.submit("be", workload="compute", n_regions=8, n_slots=6, at=0.0,
+                   workload_kwargs={"shape": (64, 64, 64), "steps": 2,
+                                    "kernel_iteration": 1, "seed": 1})
+        svc.submit("vip", workload="heat", n_regions=8, n_slots=4, at=1e-4,
+                   workload_kwargs={"shape": (64, 48, 48), "steps": 1, "seed": 0})
+        svc.run()
+        svc.close()
+        assert svc.metrics.value("cache.shed") == 1
+        assert svc.runtime.checker._streams == {}
