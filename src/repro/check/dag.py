@@ -33,13 +33,16 @@ work.  A replay reconstructs issue times as
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from dataclasses import dataclass, fields
+from operator import attrgetter
+from typing import Any, Callable, Iterable, Sequence
+
+from ..errors import DagFormatError
 
 __all__ = ["DagNode", "dag_to_json", "dag_from_json"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class DagNode:
     """One scheduled device operation and everything that ordered it."""
 
@@ -61,24 +64,49 @@ class DagNode:
     #: machine exactly — None on transfers and on pre-cost recordings.
     cost: tuple[float, float] | None = None
 
+    def __init__(self, op_id: int, kind: str, label: str, start: float,
+                 end: float, issue: float, nbytes: int,
+                 streams: tuple[tuple[int, int], ...], engines: tuple[str, ...],
+                 deps: tuple[tuple[int, str], ...], host_dep: int | None = None,
+                 host_gap: float = 0.0,
+                 cost: tuple[float, float] | None = None) -> None:
+        # One node per recorded op and per loaded row: filling the slots
+        # through their descriptors costs half what the generated frozen
+        # __init__ pays going through object.__setattr__.
+        _set_op_id(self, op_id)
+        _set_kind(self, kind)
+        _set_label(self, label)
+        _set_start(self, start)
+        _set_end(self, end)
+        _set_issue(self, issue)
+        _set_nbytes(self, nbytes)
+        _set_streams(self, streams)
+        _set_engines(self, engines)
+        _set_deps(self, deps)
+        _set_host_dep(self, host_dep)
+        _set_host_gap(self, host_gap)
+        _set_cost(self, cost)
+
     @property
     def duration(self) -> float:
         return self.end - self.start
 
     def shifted(self, start: float, end: float, issue: float) -> "DagNode":
         """A copy of this node rescheduled to new times (what-if replay)."""
-        # a replay builds one node per op: copying the field dict skips
-        # the frozen-dataclass __init__ and its per-field setattr calls
-        new = object.__new__(DagNode)
-        new.__dict__.update(self.__dict__, start=start, end=end, issue=issue)
-        return new
+        return DagNode(self.op_id, self.kind, self.label, start, end, issue,
+                       self.nbytes, self.streams, self.engines, self.deps,
+                       self.host_dep, self.host_gap, self.cost)
+
+
+(_set_op_id, _set_kind, _set_label, _set_start, _set_end, _set_issue,
+ _set_nbytes, _set_streams, _set_engines, _set_deps, _set_host_dep,
+ _set_host_gap, _set_cost) = (vars(DagNode)[f.name].__set__ for f in fields(DagNode))
 
 
 def dag_to_json(nodes: Iterable[DagNode]) -> list[dict[str, Any]]:
     """Plain-dict rows for a run manifest's ``"dag"`` key."""
-    out: list[dict[str, Any]] = []
-    for n in nodes:
-        out.append({
+    return [
+        {
             "op": n.op_id,
             "kind": n.kind,
             "label": n.label,
@@ -86,35 +114,84 @@ def dag_to_json(nodes: Iterable[DagNode]) -> list[dict[str, Any]]:
             "end": n.end,
             "issue": n.issue,
             "nbytes": n.nbytes,
-            "streams": [list(s) for s in n.streams],
+            "streams": list(map(list, n.streams)),
             "engines": list(n.engines),
-            "deps": [[d, k] for d, k in n.deps],
+            "deps": list(map(list, n.deps)),
             "host_dep": n.host_dep,
             "host_gap": n.host_gap,
-            "cost": (None if n.cost is None else list(n.cost)),
-        })
-    return out
+            "cost": None if n.cost is None else list(n.cost),
+        }
+        for n in nodes
+    ]
 
 
 def dag_from_json(rows: Sequence[dict[str, Any]]) -> list[DagNode]:
-    """Rebuild :func:`dag_to_json` output (tolerates missing optionals)."""
+    """Rebuild :func:`dag_to_json` output (tolerates missing optionals).
+
+    Raises :class:`~repro.errors.DagFormatError` naming the first row
+    that cannot be converted and its field.
+    """
     nodes: list[DagNode] = []
-    for r in rows:
-        nodes.append(DagNode(
-            op_id=int(r["op"]),
-            kind=str(r.get("kind", "?")),
-            label=str(r.get("label", "")),
-            start=float(r["start"]),
-            end=float(r["end"]),
-            issue=float(r.get("issue", r["start"])),
-            nbytes=int(r.get("nbytes", 0)),
-            streams=tuple((int(a), int(b)) for a, b in r.get("streams", ())),
-            engines=tuple(str(e) for e in r.get("engines", ())),
-            deps=tuple((int(d), str(k)) for d, k in r.get("deps", ())),
-            host_dep=(None if r.get("host_dep") is None else int(r["host_dep"])),
-            host_gap=float(r.get("host_gap", 0.0)),
-            cost=(None if r.get("cost") is None
-                  else (float(r["cost"][0]), float(r["cost"][1]))),
-        ))
-    nodes.sort(key=lambda n: n.op_id)
+    append = nodes.append
+    try:
+        for r in rows:
+            host_dep = r.get("host_dep")
+            cost = r.get("cost")
+            append(DagNode(
+                int(r["op"]),
+                str(r.get("kind", "?")),
+                str(r.get("label", "")),
+                float(r["start"]),
+                float(r["end"]),
+                float(r.get("issue", r["start"])),
+                int(r.get("nbytes", 0)),
+                tuple([(int(a), int(b)) for a, b in r.get("streams", ())]),
+                tuple(map(str, r.get("engines", ()))),
+                tuple([(int(d), str(k)) for d, k in r.get("deps", ())]),
+                None if host_dep is None else int(host_dep),
+                float(r.get("host_gap", 0.0)),
+                None if cost is None else (float(cost[0]), float(cost[1])),
+            ))
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        raise _row_error(len(nodes), rows[len(nodes)], exc) from exc
+    nodes.sort(key=_op_id)
     return nodes
+
+
+_op_id = attrgetter("op_id")
+
+#: Each row field with the conversion :func:`dag_from_json` applies to
+#: it.  Consulted only after a row failed, to name the field at fault.
+_ROW_FIELDS: tuple[tuple[str, Callable[[dict[str, Any]], Any]], ...] = (
+    ("op", lambda r: int(r["op"])),
+    ("kind", lambda r: str(r.get("kind", "?"))),
+    ("label", lambda r: str(r.get("label", ""))),
+    ("start", lambda r: float(r["start"])),
+    ("end", lambda r: float(r["end"])),
+    ("issue", lambda r: float(r.get("issue", 0.0))),
+    ("nbytes", lambda r: int(r.get("nbytes", 0))),
+    ("streams", lambda r: [(int(a), int(b)) for a, b in r.get("streams", ())]),
+    ("engines", lambda r: [str(e) for e in r.get("engines", ())]),
+    ("deps", lambda r: [(int(d), str(k)) for d, k in r.get("deps", ())]),
+    ("host_dep", lambda r: None if r.get("host_dep") is None else int(r["host_dep"])),
+    ("host_gap", lambda r: float(r.get("host_gap", 0.0))),
+    ("cost", lambda r: None if r.get("cost") is None
+     else (float(r["cost"][0]), float(r["cost"][1]))),
+)
+
+
+def _row_error(index: int, row: Any, exc: Exception) -> DagFormatError:
+    if not isinstance(row, dict):
+        return DagFormatError(
+            f"dag row {index}: expected an object, got {type(row).__name__}",
+            row=index, field=None,
+        )
+    for name, convert in _ROW_FIELDS:
+        try:
+            convert(row)
+        except (AttributeError, IndexError, KeyError, TypeError, ValueError) as err:
+            what = "missing" if isinstance(err, KeyError) and name not in row \
+                else f"bad value {row[name]!r} ({err})"
+            return DagFormatError(f"dag row {index}: field {name!r} {what}",
+                                  row=index, field=name)
+    return DagFormatError(f"dag row {index}: {exc}", row=index, field=None)

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import os
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Container, Iterable, Sequence
 
 from ..errors import HazardError
@@ -101,7 +101,7 @@ def resolve_checker(
     return HazardChecker(mode, trace=trace, metrics=metrics)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AccessInfo:
     """Light record of one checked operation (kept in hazard reports)."""
 
@@ -115,7 +115,19 @@ class AccessInfo:
     epochs: tuple[tuple[Timeline, int], ...]  # (timeline, tick) this op ticked
 
 
-@dataclass(frozen=True)
+#: What a buffer's access state keeps of one op: the (timeline, tick)
+#: epochs it ticked, which decide coverage, and its DAG node, from which
+#: a hazard report builds the :class:`AccessInfo`.
+_Access = tuple[tuple[tuple[Timeline, int], ...], DagNode]
+
+
+def _access_info(access: _Access) -> AccessInfo:
+    epochs, node = access
+    return AccessInfo(node.op_id, node.kind, node.label, node.start, node.end,
+                      node.streams, node.engines, epochs)
+
+
+@dataclass(frozen=True, slots=True)
 class Hazard:
     """One unordered conflicting pair on one buffer."""
 
@@ -144,14 +156,77 @@ class _BufferState:
 
     def __init__(self, label: str) -> None:
         self.label = label
-        self.last_write: AccessInfo | None = None
-        self.readers: list[AccessInfo] = []
+        self.last_write: _Access | None = None
+        self.readers: Sequence[_Access] = ()
 
 
-@dataclass
 class _StreamState:
-    strong: VectorClock = field(default_factory=VectorClock)
-    weak: VectorClock = field(default_factory=VectorClock)
+    """What the checker knows about one stream, or about the host thread.
+
+    ``strong`` and ``weak`` are the clocks of the stream's latest op.  A
+    stored clock is never mutated: every update builds a new one, so two
+    names for the same clock object hold the same ticks.
+
+    The other fields belong to streams only: ``tid`` is the stream's
+    timeline, ``last_op`` the DAG node of its latest op, ``pending`` the
+    event-wait ops its next op depends on, and ``seen`` the stamps of the
+    host and completion clock pairs its latest op absorbed (ints, so no
+    clock is kept alive by them).  :meth:`HazardChecker._stream_state`
+    sets them when it first tracks a stream, so any object holding a
+    ``strong`` and a ``weak`` clock can stand in for this class (the
+    dict-clock reference in ``tests/check/test_vclock.py`` does).
+    """
+
+    __slots__ = ("strong", "weak", "tid", "last_op", "pending", "seen")
+
+    def __init__(self) -> None:
+        self.strong = VectorClock()
+        self.weak = VectorClock()
+
+
+class _EngineState:
+    """One hardware engine's FIFO knowledge: the weak clock and the DAG
+    node of its latest op.  It keeps the engine object alive,
+    so the id the checker keys it by cannot be reused."""
+
+    __slots__ = ("engine", "name", "weak", "last_op")
+
+    def __init__(self, engine: Any) -> None:
+        self.engine = engine
+        self.name = getattr(engine, "name", "?")
+        self.weak: VectorClock | None = None
+        self.last_op: DagNode | None = None
+
+
+class _Completion:
+    """Every op that ended at one instant: their merged clocks, their ids,
+    and the stamp of the clock pair (new whenever the pair changes)."""
+
+    __slots__ = ("strong", "weak", "ops", "stamp")
+
+    def __init__(self, strong: VectorClock, weak: VectorClock, ops: tuple[int, ...],
+                 stamp: int) -> None:
+        self.strong = strong
+        self.weak = weak
+        self.ops = ops
+        self.stamp = stamp
+
+
+def _hazard(kind: str, label: str, earlier: _Access, later: _Access,
+            weak: VectorClock) -> Hazard:
+    """A conflict the strong clock does not order: FIFO luck when the
+    weak clock covers ``earlier``, else a race."""
+    severity = "warning" if weak.covers_any(earlier[0]) else "error"
+    return Hazard(severity, kind, label, _access_info(earlier), _access_info(later))
+
+
+def _joined(clocks: Iterable[VectorClock]) -> VectorClock:
+    """A new clock holding the join of ``clocks`` (at least one)."""
+    it = iter(clocks)
+    out = next(it).copy()
+    for c in it:
+        out.join(c)
+    return out
 
 
 def _forgetter(refs: dict[int, Any], *states: dict[int, Any]):
@@ -173,6 +248,12 @@ class HazardChecker:
     One checker may be shared by the runtimes of a multi-GPU group — all
     timelines carry the owning runtime's id, and a ``peer_copy`` event
     ticks both devices' stream timelines at once.
+
+    Every stored clock pair satisfies *weak covers strong*: the weak
+    clock has seen at least every tick the strong one has.  It holds for
+    the empty pair and each update keeps it (a new pair is built by
+    joining pairs that satisfy it, then ticking both clocks alike), so an
+    op's weak clock needs no join with its strong one.
     """
 
     def __init__(self, mode: str = "observe", *, trace: Any = None,
@@ -195,33 +276,33 @@ class HazardChecker:
         self._ticks: dict[Timeline, int] = {}
         self._streams: dict[tuple[int, int], _StreamState] = {}
         self._host = _StreamState()
-        # per-engine weak knowledge (the FIFO chain) keyed by object id;
-        # the engine objects are retained so ids cannot be recycled
-        self._engine_weak: dict[int, VectorClock] = {}
-        self._engine_refs: dict[int, Any] = {}
-        # completion-time -> merged clock snapshot (after= resolution)
-        self._completions: dict[float, tuple[VectorClock, VectorClock]] = {}
+        # stamps name stored clock pairs (the host's, each completion's);
+        # a pair gets a new stamp whenever it is replaced
+        self._stamp = 0
+        self._host_stamp = 0
+        # per-engine FIFO knowledge keyed by object id
+        self._engines: dict[int, _EngineState] = {}
+        # completion time -> its record (after= resolution)
+        self._completions: dict[float, _Completion] = {}
         # completion times retire_streams() has not yet let go of
         self._unretired: list[float] = []
         # -- causal-DAG recording (consumed by repro.obs.critpath) --------
         # one DagNode per record_op, with explicit predecessor edges
         self.dag: list[DagNode] = []
-        self._last_stream_op: dict[tuple[int, int], tuple[int, float]] = {}
-        self._last_engine_op: dict[int, tuple[int, float]] = {}
-        self._completion_ops: dict[float, list[int]] = {}
-        # event snapshots (event_record) and buffer access state, keyed by
-        # object id; the objects are held weakly and their entries dropped
-        # when they die, so a finished job's buffers are not kept alive
-        self._events: dict[int, tuple[VectorClock, VectorClock]] = {}
-        self._event_op: dict[int, tuple[int, float] | None] = {}
+        # event snapshots (event_record: strong, weak, the stream's last
+        # op) and buffer access state, keyed by object id; the objects are
+        # held weakly and their entries dropped when they die, so a
+        # finished job's buffers are not kept alive
+        self._events: dict[int, tuple[VectorClock, VectorClock, DagNode | None]] = {}
         self._event_refs: dict[int, weakref.KeyedRef] = {}
-        self._forget_event = _forgetter(self._event_refs, self._events, self._event_op)
+        self._forget_event = _forgetter(self._event_refs, self._events)
         self._buffers: dict[int, _BufferState] = {}
         self._buffer_refs: dict[int, weakref.KeyedRef] = {}
         self._forget_buffer = _forgetter(self._buffer_refs, self._buffers)
-        self._pending_event_deps: dict[tuple[int, int], list[tuple[int, float]]] = {}
-        self._host_op: tuple[int, float] | None = None
+        self._host_op: DagNode | None = None
         self._last_issue = 0.0
+        # the check.ops counter, looked up at the first op
+        self._ops_counter: Any = None
 
     # -- summaries -----------------------------------------------------------
 
@@ -251,12 +332,15 @@ class HazardChecker:
         st = self._streams.get(key)
         if st is None:
             st = self._streams[key] = _StreamState()
+            st.tid = ("stream",) + key
+            st.last_op = None
+            st.pending = None
+            st.seen = ()
         return st
 
-    def _tick(self, tid: Timeline) -> int:
-        t = self._ticks.get(tid, 0) + 1
-        self._ticks[tid] = t
-        return t
+    def _new_stamp(self) -> int:
+        self._stamp += 1
+        return self._stamp
 
     def record_op(
         self,
@@ -283,98 +367,128 @@ class HazardChecker:
         racy conflict raises :class:`HazardError` *after* the op's state
         is folded in (the trace and counters stay consistent).
         """
-        skeys = tuple((self._rt(rtid), s.stream_id) for rtid, s in streams)
-        strong = VectorClock()
-        weak = VectorClock()
+        skeys = []
+        states = []
+        # The op's clocks join each distinct source clock once (keyed by
+        # id: every source is alive for the whole call): its streams',
+        # the host's and each resolved after= completion's.  A source
+        # whose stamp a stream's previous op absorbed is skipped: the
+        # stream's clocks still cover it.
+        strong_src: dict[int, VectorClock] = {}
+        weak_src: dict[int, VectorClock] = {}
         # DAG edges, strongest kind first (a predecessor reachable several
         # ways keeps the most meaningful kind)
         dag_deps: dict[int, str] = {}
-        for key in skeys:
-            st = self._streams.get(key)
-            if st is not None:
-                strong.join(st.strong)
-                weak.join(st.weak)
-            for oid, _oend in self._pending_event_deps.pop(key, ()):
-                dag_deps.setdefault(oid, "event")
-        strong.join(self._host.strong)
-        weak.join(self._host.weak)
+        seen: tuple[int, ...] = ()
+        for rtid, s in streams:
+            key = (self._rt(rtid), s.stream_id)
+            skeys.append(key)
+            st = self._stream_state(key)
+            states.append(st)
+            strong_src[id(st.strong)] = st.strong
+            weak_src[id(st.weak)] = st.weak
+            seen += st.seen
+            if st.pending is not None:
+                for waited in st.pending:
+                    dag_deps.setdefault(waited.op_id, "event")
+                st.pending = None
+        named = [self._host_stamp]
+        if self._host_stamp not in seen:
+            host = self._host
+            strong_src[id(host.strong)] = host.strong
+            weak_src[id(host.weak)] = host.weak
+        completions = self._completions
         for a in after:
             if a is None or a <= 0.0:
                 continue
-            snap = self._completions.get(float(a))
-            if snap is None:
+            done = completions.get(float(a))
+            if done is None:
                 self._inc("check.after_unresolved")
                 continue
-            strong.join(snap[0])
-            weak.join(snap[1])
-            for oid in self._completion_ops.get(float(a), ()):
+            for oid in done.ops:
                 dag_deps.setdefault(oid, "after")
-        for key in skeys:
-            prev = self._last_stream_op.get(key)
-            if prev is not None:
-                dag_deps.setdefault(prev[0], "stream")
-        weak.join(strong)
+            stamp = done.stamp
+            if stamp in named:
+                continue
+            named.append(stamp)
+            if stamp not in seen:
+                strong_src[id(done.strong)] = done.strong
+                weak_src[id(done.weak)] = done.weak
+        for st in states:
+            if st.last_op is not None:
+                dag_deps.setdefault(st.last_op.op_id, "stream")
+        engine_states = []
+        engine_names = []
         for e in engines:
-            ew = self._engine_weak.get(id(e))
-            if ew is not None:
-                weak.join(ew)
-            prev = self._last_engine_op.get(id(e))
-            if prev is not None:
-                dag_deps.setdefault(prev[0], "engine")
+            es = self._engines.get(id(e))
+            if es is None:
+                es = self._engines[id(e)] = _EngineState(e)
+            engine_states.append(es)
+            engine_names.append(es.name)
+            if es.weak is not None:
+                weak_src[id(es.weak)] = es.weak
+                dag_deps.setdefault(es.last_op.op_id, "engine")
+        strong = _joined(strong_src.values())
+        weak = _joined(weak_src.values())
+        ticks = self._ticks
         epochs = []
-        for key in skeys:
-            tid: Timeline = ("stream",) + key
-            t = self._tick(tid)
+        for st in states:
+            tid = st.tid
+            t = ticks.get(tid, 0) + 1
+            ticks[tid] = t
             strong.set(tid, t)
             weak.set(tid, t)
             epochs.append((tid, t))
         self._op_seq += 1
-        self._inc("check.ops")
-        info = AccessInfo(
-            op_id=self._op_seq, kind=kind, label=label, start=start, end=end,
-            streams=skeys, engines=tuple(getattr(e, "name", "?") for e in engines),
-            epochs=tuple(epochs),
-        )
+        op_id = self._op_seq
+        counter = self._ops_counter
+        if counter is None and self.metrics is not None:
+            counter = self._ops_counter = self.metrics.counter("check.ops")
+        if counter is not None:
+            counter.inc()
         # host edge: the op the host last blocked on, plus the host's own
         # time between that wake-up (or the previous issue) and this issue
-        host_dep = self._host_op[0] if self._host_op is not None else None
-        host_floor = max(
-            self._last_issue,
-            self._host_op[1] if self._host_op is not None else 0.0,
+        host_op = self._host_op
+        host_floor = self._last_issue
+        if host_op is not None and host_op.end > host_floor:
+            host_floor = host_op.end
+        skeys = tuple(skeys)
+        node = DagNode(
+            op_id, kind, label, start, end, now, int(nbytes), skeys,
+            tuple(engine_names),
+            tuple(sorted(dag_deps.items())),
+            None if host_op is None else host_op.op_id,
+            max(0.0, now - host_floor),
+            cost,
         )
-        self.dag.append(DagNode(
-            op_id=info.op_id, kind=kind, label=label,
-            start=start, end=end, issue=now, nbytes=int(nbytes),
-            streams=skeys, engines=info.engines,
-            deps=tuple(sorted(dag_deps.items())),
-            host_dep=host_dep, host_gap=max(0.0, now - host_floor),
-            cost=cost,
-        ))
-        self._last_issue = max(self._last_issue, now)
+        self.dag.append(node)
+        if now > self._last_issue:
+            self._last_issue = now
 
-        found = self._check_accesses(info, strong, weak, reads, writes)
+        access = (tuple(epochs), node)
+        found = self._check_accesses(access, strong, weak, reads, writes)
 
         # fold the op into the world before (possibly) raising
-        for key in skeys:
-            st = self._stream_state(key)
+        seen = tuple(named)
+        for st in states:
             st.strong = strong
             st.weak = weak
-            self._last_stream_op[key] = (info.op_id, end)
-        for e in engines:
-            self._engine_weak[id(e)] = weak
-            self._engine_refs[id(e)] = e
-            self._last_engine_op[id(e)] = (info.op_id, end)
-        self._completion_ops.setdefault(end, []).append(info.op_id)
-        snap = self._completions.get(end)
-        if snap is None:
-            self._completions[end] = (strong, weak)
+            st.last_op = node
+            st.seen = seen
+        for es in engine_states:
+            es.weak = weak
+            es.last_op = node
+        done = completions.get(end)
+        if done is None:
+            completions[end] = _Completion(strong, weak, (op_id,), self._new_stamp())
             self._unretired.append(end)
         else:
             # two ops completing at the same instant: merge (an `after=`
             # equal to that instant depends on both)
-            self._completions[end] = (
-                snap[0].copy().join(strong), snap[1].copy().join(weak)
-            )
+            done.strong = done.strong.copy().join(strong)
+            done.weak = done.weak.copy().join(weak)
+            done.ops += (op_id,)
+            done.stamp = self._new_stamp()
 
         for hazard in found:
             self._report(hazard, now)
@@ -388,40 +502,39 @@ class HazardChecker:
 
     def _check_accesses(
         self,
-        info: AccessInfo,
+        access: _Access,
         strong: VectorClock,
         weak: VectorClock,
         reads: Sequence[Any],
         writes: Sequence[Any],
     ) -> list[Hazard]:
         found: list[Hazard] = []
-        write_ids = {id(b) for b in writes}
-
-        def classify(earlier: AccessInfo, kind: str, buf_label: str) -> None:
-            if strong.covers_any(earlier.epochs):
-                return
-            severity = "warning" if weak.covers_any(earlier.epochs) else "error"
-            found.append(Hazard(severity, kind, buf_label, earlier, info))
-
+        covered = strong.covers_any
+        write_ids = tuple(map(id, writes))
         for buf in reads:
             if id(buf) in write_ids:
                 continue  # handled as a write below (RAW reported there)
             st = self._buf_state(buf)
-            if st.last_write is not None:
-                classify(st.last_write, "RAW", st.label)
+            if st.last_write is not None and not covered(st.last_write[0]):
+                found.append(_hazard("RAW", st.label, st.last_write, access, weak))
             # drop readers this read already covers: any later write that
             # covers this read transitively covers them too
-            st.readers = [r for r in st.readers if not strong.covers_any(r.epochs)]
-            st.readers.append(info)
+            if st.readers:
+                readers = [r for r in st.readers if not covered(r[0])]
+                readers.append(access)
+                st.readers = readers
+            else:
+                st.readers = [access]
         for buf in writes:
             st = self._buf_state(buf)
-            is_rw = any(id(b) == id(buf) for b in reads)
-            if st.last_write is not None:
-                classify(st.last_write, "RAW" if is_rw else "WAW", st.label)
+            if st.last_write is not None and not covered(st.last_write[0]):
+                kind = "RAW" if any(b is buf for b in reads) else "WAW"
+                found.append(_hazard(kind, st.label, st.last_write, access, weak))
             for r in st.readers:
-                classify(r, "WAR", st.label)
-            st.last_write = info
-            st.readers = []
+                if not covered(r[0]):
+                    found.append(_hazard("WAR", st.label, r, access, weak))
+            st.last_write = access
+            st.readers = ()
         return found
 
     def _buf_state(self, buf: Any) -> _BufferState:
@@ -456,11 +569,9 @@ class HazardChecker:
 
     def on_event_record(self, event: Any, runtime_id: int, stream: Any) -> None:
         """``cudaEventRecord``: snapshot the stream's knowledge."""
-        key = (self._rt(runtime_id), stream.stream_id)
-        st = self._stream_state(key)
+        st = self._stream_state((self._rt(runtime_id), stream.stream_id))
         ev = id(event)
-        self._events[ev] = (st.strong, st.weak)
-        self._event_op[ev] = self._last_stream_op.get(key)
+        self._events[ev] = (st.strong, st.weak, st.last_op)
         if ev not in self._event_refs:
             self._event_refs[ev] = weakref.KeyedRef(event, self._forget_event, ev)
 
@@ -469,26 +580,37 @@ class HazardChecker:
         snap = self._events.get(id(event))
         if snap is None:
             return  # recorded before the checker existed (or never): no edge
-        key = (self._rt(runtime_id), stream.stream_id)
-        st = self._stream_state(key)
-        st.strong = st.strong.copy().join(snap[0])
-        st.weak = st.weak.copy().join(snap[1])
-        ev_op = self._event_op.get(id(event))
+        st = self._stream_state((self._rt(runtime_id), stream.stream_id))
+        strong, weak, ev_op = snap
+        if strong is not st.strong:
+            st.strong = st.strong.copy().join(strong)
+        if weak is not st.weak:
+            st.weak = st.weak.copy().join(weak)
         if ev_op is not None:
-            self._pending_event_deps.setdefault(key, []).append(ev_op)
+            if st.pending is None:
+                st.pending = [ev_op]
+            else:
+                st.pending.append(ev_op)
 
     def host_sync_stream(self, runtime_id: int, stream: Any) -> None:
         """The host blocked until ``stream`` drained: it now knows its past."""
-        key = (self._rt(runtime_id), stream.stream_id)
-        st = self._streams.get(key)
-        if st is not None:
-            self._host.strong = self._host.strong.copy().join(st.strong)
-            self._host.weak = self._host.weak.copy().join(st.weak)
-        self._note_host_blocked_on(self._last_stream_op.get(key))
+        st = self._streams.get((self._rt(runtime_id), stream.stream_id))
+        if st is None:
+            return
+        host = self._host
+        if self._host_stamp in st.seen:
+            # the stream's latest op absorbed the host's clocks: the join
+            # is the stream's clocks themselves
+            host.strong, host.weak = st.strong, st.weak
+        else:
+            host.strong = host.strong.copy().join(st.strong)
+            host.weak = host.weak.copy().join(st.weak)
+        self._host_stamp = self._new_stamp()
+        self._note_host_blocked_on(st.last_op)
 
-    def _note_host_blocked_on(self, op: tuple[int, float] | None) -> None:
+    def _note_host_blocked_on(self, op: DagNode | None) -> None:
         """Keep the latest-completing op the host has blocked on (DAG host edge)."""
-        if op is not None and (self._host_op is None or op[1] > self._host_op[1]):
+        if op is not None and (self._host_op is None or op.end > self._host_op.end):
             self._host_op = op
 
     def host_sync_streams(self, runtime_id: int, streams: Iterable[Any]) -> None:
@@ -499,10 +621,13 @@ class HazardChecker:
     def host_sync_event(self, event: Any) -> None:
         """``cudaEventSynchronize``."""
         snap = self._events.get(id(event))
-        if snap is not None:
-            self._host.strong = self._host.strong.copy().join(snap[0])
-            self._host.weak = self._host.weak.copy().join(snap[1])
-        self._note_host_blocked_on(self._event_op.get(id(event)))
+        if snap is None:
+            return
+        host = self._host
+        host.strong = host.strong.copy().join(snap[0])
+        host.weak = host.weak.copy().join(snap[1])
+        self._host_stamp = self._new_stamp()
+        self._note_host_blocked_on(snap[2])
 
     def forget(self, buf: Any) -> None:
         """A buffer was freed: stop tracking it (its id may be recycled)."""
@@ -514,29 +639,26 @@ class HazardChecker:
                        now: float, live: Container[float]) -> None:
         """A finished job's streams will queue no more work: forget them.
 
-        Drops each stream's clocks, last-op and pending-event entries, and
-        every completion snapshot (with its DAG ops) that ended by ``now``
-        and is not in ``live``, the completion times some surviving caller
-        may still pass as ``after=``.  An op issued later ends after
-        ``now``, so no later op can merge into a dropped time.  Each call
-        visits only the completions recorded since the previous one plus
-        those it kept, so its cost does not grow with the session.
-        ``_ticks`` is kept: stream timelines keep their epochs.
+        Drops each stream's state (clocks, last op, pending event waits,
+        absorbed stamps), and every completion record that ended by
+        ``now`` and is not in ``live``, the completion times some
+        surviving caller may still pass as ``after=``.  An op issued later
+        ends after ``now``, so no later op can merge into a dropped time.
+        Each call visits only the completions recorded since the previous
+        one plus those it kept, so its cost does not grow with the
+        session.  ``_ticks`` is kept: stream timelines keep their epochs.
         Bookkeeping only; the simulation is untouched.
         """
         rt = self._rt_ids.get(runtime_id)
         if rt is not None:
             for s in streams:
-                key = (rt, s.stream_id)
-                self._streams.pop(key, None)
-                self._last_stream_op.pop(key, None)
-                self._pending_event_deps.pop(key, None)
+                self._streams.pop((rt, s.stream_id), None)
         kept = []
         for t in self._unretired:
             if t > now or t in live:
                 kept.append(t)
             else:
-                del self._completions[t], self._completion_ops[t]
+                del self._completions[t]
         self._unretired = kept
 
     def reset_schedule(self, *, drop_dag: bool = False) -> None:
@@ -560,21 +682,14 @@ class HazardChecker:
             self.hazards.clear()
         self._streams.clear()
         self._host = _StreamState()
-        self._engine_weak.clear()
-        self._engine_refs.clear()
+        self._host_stamp = self._new_stamp()
+        self._engines.clear()
         self._events.clear()
         self._event_refs.clear()
         self._completions.clear()
         self._unretired.clear()
         self._buffers.clear()
         self._buffer_refs.clear()
-        # DAG bookkeeping follows the same rule: ``self.dag`` survives
-        # (it is the run's record), per-schedule resolution state resets.
-        self._last_stream_op.clear()
-        self._last_engine_op.clear()
-        self._completion_ops.clear()
-        self._event_op.clear()
-        self._pending_event_deps.clear()
         self._host_op = None
 
     def dag_export(self) -> list[dict[str, Any]]:

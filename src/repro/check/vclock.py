@@ -35,6 +35,8 @@ _TIMELINES: list[Timeline] = []
 
 _EMPTY = np.zeros(0, dtype=np.int64)
 
+_new = object.__new__
+
 
 def _intern(tid: Timeline) -> int:
     i = _INDEX.get(tid)
@@ -53,11 +55,12 @@ class VectorClock:
         # the shared empty array is never written: set() and join() grow
         # a clock into a fresh array before writing past its end
         self._a: np.ndarray = _EMPTY
-        for tid, tick in (clocks or {}).items():
-            self.set(tid, tick)
+        if clocks:
+            for tid, tick in clocks.items():
+                self.set(tid, tick)
 
     def copy(self) -> "VectorClock":
-        vc = VectorClock()
+        vc = _new(VectorClock)
         vc._a = self._a.copy()
         return vc
 
@@ -84,7 +87,8 @@ class VectorClock:
             a, b = self._a, other._a
             n, m = len(a), len(b)
             if n == m:
-                np.maximum(a, b, out=a)
+                # a new array costs less than writing into this one
+                self._a = np.maximum(a, b)
             elif n > m:
                 head = a[:m]
                 np.maximum(head, b, out=head)
@@ -106,10 +110,18 @@ class VectorClock:
 
         An event that ticked several timelines (a peer copy ticks both
         devices' streams) is one event: seeing it on either timeline means
-        it happened-before the observer.
+        it happened-before the observer.  A tick of 0 or less is covered
+        by every clock.
         """
-        get = self.get
-        return any(get(tid) >= tick for tid, tick in epochs)
+        a = self._a
+        n = len(a)
+        for tid, tick in epochs:
+            if tick <= 0:
+                return True
+            i = _INDEX.get(tid)
+            if i is not None and i < n and a.item(i) >= tick:
+                return True
+        return False
 
     def __len__(self) -> int:
         return int(np.count_nonzero(self._a))

@@ -46,6 +46,13 @@ from ..tida.tile_array import TileArray
 from .slots import DEVICE, EMPTY, HOST, DeviceSlot, EvictionPolicy, SlotPool, make_policy
 
 
+def _resident_in(location: list[str]) -> Callable[[int], bool]:
+    """The pool callback naming slot occupants whose device data is current."""
+    def resident(rid: int) -> bool:
+        return rid != EMPTY and location[rid] == DEVICE
+    return resident
+
+
 class TileAcc:
     """Device-side manager for one tileArray."""
 
@@ -99,7 +106,12 @@ class TileAcc:
             qid = acc.new_auto_queue()
             self.slots.append(DeviceSlot(i, qid, acc.queue(qid)))
         self.policy = make_policy(eviction)
-        self.pool = SlotPool(self.slots, self.policy, self._resident)
+        self._location: list[str] = [HOST] * n_regions
+        # the pool's residency test closes over the location list, not
+        # over the manager: a bound method would put the manager, its
+        # pool and everything it holds in a reference cycle, left for
+        # the cyclic collector to free
+        self.pool = SlotPool(self.slots, self.policy, _resident_in(self._location))
         #: resilience: transient faults on this field's transfers are
         #: retried per this policy; ``None`` means fail fast (the raw
         #: :class:`~repro.errors.CudaError` propagates, pre-PR-3 behaviour)
@@ -113,7 +125,6 @@ class TileAcc:
         self._wb_stream = acc.queue(self._wb_qid)
         #: every stream this manager queues work on, shed slots' included
         self.streams = [slot.stream for slot in self.slots] + [self._wb_stream]
-        self._location: list[str] = [HOST] * n_regions
         self._ready: list[float] = [0.0] * n_regions
         # per-region completion times of the individual device ops still
         # "live" for ordering purposes (see device_ready_deps); _ready
@@ -176,10 +187,6 @@ class TileAcc:
     @property
     def n_slots(self) -> int:
         return len(self.slots)
-
-    def _resident(self, rid: int) -> bool:
-        """Slot occupants whose device data is current (pool callback)."""
-        return rid != EMPTY and self._location[rid] == DEVICE
 
     def slot_for(self, rid: int) -> DeviceSlot:
         """The slot currently holding region ``rid``'s device binding.

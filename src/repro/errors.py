@@ -209,3 +209,18 @@ class HazardError(ReproError):
     def __init__(self, message: str, *, hazard=None) -> None:
         super().__init__(message)
         self.hazard = hazard
+
+
+class DagFormatError(ReproError):
+    """A run manifest's ``"dag"`` rows do not describe DAG nodes.
+
+    Raised by :func:`~repro.check.dag.dag_from_json` for a row that lacks
+    a required field or holds a value of the wrong shape.  ``row`` is the
+    row's index in the list and ``field`` the offending key (``None``
+    when the row is not an object at all).
+    """
+
+    def __init__(self, message: str, *, row: int, field: str | None) -> None:
+        super().__init__(message)
+        self.row = row
+        self.field = field

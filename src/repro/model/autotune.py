@@ -15,7 +15,7 @@ overhead and ghost-face volume dominate.
 Machine candidates (:func:`sweep_machines` — which link/GPU should this
 workload buy?) add a third strategy: ``"replay"`` simulates the workload
 *once*, records its causal DAG, and reschedules that DAG under each
-candidate machine (:func:`~repro.obs.critpath.replay_machine`) —
+candidate machine (:func:`~repro.obs.critpath.machine_makespans`) —
 microseconds per candidate instead of a full simulation — then re-runs
 the winner in the simulator to verify the pick with a real measurement.
 Replay is only sound on the machine axis: region/prefetch knobs change
@@ -178,7 +178,7 @@ def sweep_machines(
     mis-ranking is bounded by the replay error, not compounded by it.
     ``strategy="measure"`` simulates every candidate.
     """
-    from ..obs.critpath import replay_machine
+    from ..obs.critpath import machine_makespans
 
     if strategy not in ("measure", "replay"):
         raise ReproError(
@@ -201,12 +201,11 @@ def sweep_machines(
             "strategy='replay' needs the base run's DAG; pass check='observe' "
             "through measure_result_fn"
         )
-    points: list[MachineSweepPoint] = []
-    for m in candidates:
-        _, makespan = replay_machine(recording.dag, machine=base, perturbed=m)
-        points.append(
-            MachineSweepPoint(name=m.name, seconds=makespan, surrogate="replay")
-        )
+    makespans = machine_makespans(recording.dag, machine=base, candidates=candidates)
+    points = [
+        MachineSweepPoint(name=m.name, seconds=makespan, surrogate="replay")
+        for m, makespan in zip(candidates, makespans)
+    ]
     win = min(range(len(points)), key=lambda i: points[i].seconds)
     verified = _dag_span(measure_result_fn(candidates[win]))
     points[win] = MachineSweepPoint(

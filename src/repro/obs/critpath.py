@@ -45,6 +45,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from functools import cached_property
+from operator import attrgetter
 from typing import Any, Iterable, Sequence
 
 from ..check.dag import DagNode, dag_from_json
@@ -68,12 +69,15 @@ __all__ = [
     "field_of",
     "flip_point",
     "job_phases",
+    "machine_makespans",
     "overlap_report",
     "region_of",
     "replay",
     "replay_machine",
     "whatif",
 ]
+
+_op_id = attrgetter("op_id")
 
 #: DAG node kinds that occupy a copy engine (the "transfer" side of the
 #: overlap bound); everything else is compute.
@@ -123,7 +127,7 @@ def region_of(label: str) -> str:
     return token if ".r" in token else "-"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PathSegment:
     """One interval of the critical path: an operation, or a host gap."""
 
@@ -145,11 +149,11 @@ class RunDag:
     nodes: tuple[DagNode, ...]
     iteration_marks: tuple[float, ...] = ()
 
-    @property
+    @cached_property
     def t0(self) -> float:
         return min((n.start for n in self.nodes), default=0.0)
 
-    @property
+    @cached_property
     def t_end(self) -> float:
         return max((n.end for n in self.nodes), default=0.0)
 
@@ -162,7 +166,7 @@ class RunDag:
         cls, nodes: Iterable[DagNode], *, marks: Iterable[float] = ()
     ) -> "RunDag":
         return cls(
-            nodes=tuple(sorted(nodes, key=lambda n: n.op_id)),
+            nodes=tuple(sorted(nodes, key=_op_id)),
             iteration_marks=tuple(sorted(marks)),
         )
 
@@ -179,7 +183,7 @@ class RunDag:
         marks = [
             e.get("ts", 0.0) / 1e6
             for e in data.get("traceEvents", ())
-            if e.get("ph") == "i" and e.get("name") == "iteration"
+            if e.get("name") == "iteration" and e.get("ph") == "i"
         ]
         return cls.from_nodes(dag_from_json(rows), marks=marks)
 
@@ -234,7 +238,7 @@ class _CompiledDag:
     """
 
     def __init__(self, nodes: Iterable[DagNode]) -> None:
-        self.nodes = sorted(nodes, key=lambda x: x.op_id)
+        self.nodes = sorted(nodes, key=_op_id)
         n = len(self.nodes)
         index = {node.op_id: i for i, node in enumerate(self.nodes)}.get
         #: ordering-edge predecessors, in recorded order (sentinel kept)
@@ -254,26 +258,39 @@ class _CompiledDag:
         """Per op: the predecessors the critical-path walk may step to."""
         n = len(self.nodes)
         return [
-            tuple(j for j in deps + (host,) if j < n)
+            tuple([j for j in deps + (host,) if j < n])
             for deps, host in zip(self.deps, self.host_deps)
         ]
 
     @cached_property
     def categories(self) -> list[str]:
-        return [categorize(node) for node in self.nodes]
+        known: dict[tuple[str, str], str] = {}    # labels repeat every step
+        out = []
+        for node in self.nodes:
+            key = (node.kind, node.label)
+            cat = known.get(key)
+            if cat is None:
+                cat = known[key] = categorize(node)
+            out.append(cat)
+        return out
 
     @cached_property
     def durations(self) -> list[float]:
         """Recorded durations."""
-        return [node.duration for node in self.nodes]
+        return [node.end - node.start for node in self.nodes]
 
     @cached_property
-    def transfer(self) -> list[bool]:
-        return [node.kind in TRANSFER_KINDS for node in self.nodes]
-
-    @cached_property
-    def evict(self) -> list[bool]:
-        return [node.label.startswith("evict:") for node in self.nodes]
+    def by_class(self) -> tuple[list[int], list[int], list[int]]:
+        """Positions of (transfers, kernels, eviction write-backs): the
+        ops each :class:`Scenario` knob rescales."""
+        transfers: list[int] = []
+        kernels: list[int] = []
+        evictions: list[int] = []
+        for i, node in enumerate(self.nodes):
+            (transfers if node.kind in TRANSFER_KINDS else kernels).append(i)
+            if node.label.startswith("evict:"):
+                evictions.append(i)
+        return transfers, kernels, evictions
 
     def schedule(
         self, durations: Sequence[float], gap_scale: float
@@ -290,51 +307,50 @@ class _CompiledDag:
         ends = [0.0] * (n + 1)          # ends[n] is the sentinel
         starts = [0.0] * n
         issues = [0.0] * n
+        gaps = (self.host_gaps if gap_scale == 1.0
+                else [gap * gap_scale for gap in self.host_gaps])
         issue = 0.0
-        for i, (host, gap, deps, dur) in enumerate(
-            zip(self.host_deps, self.host_gaps, self.deps, durations)
-        ):
+        i = 0
+        for host, gap, deps, dur in zip(self.host_deps, gaps, self.deps, durations):
             host_end = ends[host]
-            issue = (host_end if host_end > issue else issue) + gap * gap_scale
+            issue = (host_end if host_end > issue else issue) + gap
             start = issue
             for j in deps:
-                if ends[j] > start:
-                    start = ends[j]
+                end = ends[j]
+                if end > start:
+                    start = end
             starts[i] = start
             issues[i] = issue
             ends[i] = start + dur
+            i += 1
         ends.pop()
         return starts, ends, issues
 
-    def path(
-        self, starts: Sequence[float], ends: Sequence[float]
-    ) -> list[tuple[float, float, int, str]]:
-        """The critical path of a schedule, in time order.
+    def chain(self, starts: Sequence[float], ends: Sequence[float]) -> list[int]:
+        """The ops on the critical path of a schedule, in time order.
 
-        Each entry is ``(start, end, i, gap)``: ``gap`` is ``""`` for op
-        ``i`` itself, ``"issue"`` for the host time before the path's
-        first op, and ``"wait"`` for the host time op ``i`` spent
-        waiting to issue after its binding predecessor finished.
+        Walks back from the latest-ending op (the highest id among
+        ties), each time to the predecessor whose end bound the op's
+        start: the latest-ending one, the highest id among ties.  The
+        path's host time lies between consecutive ops (``ends[prev]`` to
+        ``starts[op]``, when positive) and before the first op (from the
+        schedule's earliest start).
         """
-        t0 = min(starts)
         last = max(ends)
         cur = len(ends) - 1 - ends[::-1].index(last)   # latest end, then id
-        out: list[tuple[float, float, int, str]] = []
+        preds = self.preds
+        out = [cur]
         while True:
-            out.append((starts[cur], ends[cur], cur, ""))
-            preds = self.preds[cur]
-            if not preds:
-                if starts[cur] > t0:
-                    out.append((t0, starts[cur], cur, "issue"))
+            p = preds[cur]
+            if not p:
                 break
-            binding = preds[0]
-            for j in preds:
-                if ends[j] > ends[binding] or (
-                    ends[j] == ends[binding] and j > binding
-                ):
-                    binding = j
-            if starts[cur] > ends[binding]:
-                out.append((ends[binding], starts[cur], cur, "wait"))
+            binding = p[0]
+            bend = ends[binding]
+            for j in p:
+                end = ends[j]
+                if end > bend or (end == bend and j > binding):
+                    binding, bend = j, end
+            out.append(binding)
             cur = binding
         out.reverse()
         return out
@@ -348,19 +364,16 @@ def _critical_path(dag: _CompiledDag) -> list[PathSegment]:
     segments: list[PathSegment] = []
     starts = [node.start for node in dag.nodes]
     ends = [node.end for node in dag.nodes]
-    for start, end, i, gap in dag.path(starts, ends):
+    prev_end = min(starts)
+    for k, i in enumerate(dag.chain(starts, ends)):
         node = dag.nodes[i]
-        if not gap:
-            segments.append(PathSegment(
-                start=start, end=end, category=dag.categories[i],
-                label=node.label, op_id=node.op_id,
-            ))
-        else:
-            label = ("(issue)" if gap == "issue"
-                     else f"(waiting to issue {node.label})")
-            segments.append(PathSegment(
-                start=start, end=end, category="host", label=label,
-            ))
+        start = starts[i]
+        if start > prev_end:
+            label = "(issue)" if k == 0 else f"(waiting to issue {node.label})"
+            segments.append(PathSegment(prev_end, start, "host", label))
+        segments.append(PathSegment(start, ends[i], dag.categories[i],
+                                    node.label, node.op_id))
+        prev_end = ends[i]
     return segments
 
 
@@ -388,11 +401,18 @@ def attribution(segments: Sequence[PathSegment]) -> dict[str, float]:
 
 
 def _grouped(
-    segments: Sequence[PathSegment], key
+    segments: Sequence[PathSegment], group_of
 ) -> dict[str, dict[str, float]]:
+    """Category seconds per group of op label (host gaps under ``"-"``)."""
     out: dict[str, dict[str, float]] = {}
+    groups: dict[str, str] = {}        # label -> group, each parsed once
     for seg in segments:
-        group = key(seg)
+        if seg.op_id is None:
+            group = "-"
+        else:
+            group = groups.get(seg.label)
+            if group is None:
+                group = groups[seg.label] = group_of(seg.label)
         cats = out.setdefault(group, {})
         cats[seg.category] = cats.get(seg.category, 0.0) + seg.duration
     return out
@@ -402,20 +422,14 @@ def attribution_by_field(
     segments: Sequence[PathSegment],
 ) -> dict[str, dict[str, float]]:
     """Per-field category seconds on the path (host gaps under ``"-"``)."""
-    return _grouped(
-        segments,
-        lambda s: field_of(s.label) if s.op_id is not None else "-",
-    )
+    return _grouped(segments, field_of)
 
 
 def attribution_by_region(
     segments: Sequence[PathSegment],
 ) -> dict[str, dict[str, float]]:
     """Per-region (``field.rN``) category seconds on the path."""
-    return _grouped(
-        segments,
-        lambda s: region_of(s.label) if s.op_id is not None else "-",
-    )
+    return _grouped(segments, region_of)
 
 
 # -- overlap efficiency -----------------------------------------------------
@@ -514,22 +528,26 @@ def _scenario_durations(
     dag: _CompiledDag, scenario: Scenario, machine: MachineSpec
 ) -> list[float]:
     """Per-op durations under ``scenario`` (recorded ones, rescaled)."""
-    latency = machine.link.latency
-    launch = machine.gpu.kernel_launch_overhead
-    out: list[float] = []
-    for dur, transfer, evict in zip(dag.durations, dag.transfer, dag.evict):
-        if scenario.drop_writebacks and evict:
-            dur = 0.0
-        elif transfer:
-            if scenario.link_factor != 1.0:
-                lat = min(latency, dur)
-                dur = lat + (dur - lat) / scenario.link_factor
-        else:
-            if scenario.kernel_factor != 1.0:
-                dur = dur / scenario.kernel_factor
-            if scenario.zero_launch:
-                dur = max(0.0, dur - launch)
-        out.append(dur)
+    out = list(dag.durations)
+    transfers, kernels, evictions = dag.by_class
+    factor = scenario.link_factor
+    if factor != 1.0:
+        latency = machine.link.latency
+        for i in transfers:
+            dur = out[i]
+            lat = dur if dur < latency else latency
+            out[i] = lat + (dur - lat) / factor
+    factor = scenario.kernel_factor
+    if factor != 1.0:
+        for i in kernels:
+            out[i] = out[i] / factor
+    if scenario.zero_launch:
+        launch = machine.gpu.kernel_launch_overhead
+        for i in kernels:
+            out[i] = max(0.0, out[i] - launch)
+    if scenario.drop_writebacks:
+        for i in evictions:
+            out[i] = 0.0
     return out
 
 
@@ -630,11 +648,38 @@ def replay_machine(
     machine=m, perturbed=m)`` reproduces the recording byte-exactly.
     """
     dag = _CompiledDag(nodes)
+    return _replayed(dag, *_machine_inputs(dag, machine, perturbed))
+
+
+def machine_makespans(
+    nodes: Sequence[DagNode],
+    *,
+    machine: MachineSpec,
+    candidates: Sequence[MachineSpec],
+) -> list[float]:
+    """``replay_machine(nodes, machine=machine, perturbed=c)[1]`` for each
+    candidate ``c``: the DAG is compiled once and no node is rebuilt,
+    which is all a sweep that ranks machines by makespan needs."""
+    dag = _CompiledDag(nodes)
+    out: list[float] = []
+    for perturbed in candidates:
+        if dag.nodes:
+            starts, ends, _ = dag.schedule(*_machine_inputs(dag, machine, perturbed))
+            out.append(max(ends) - min(starts))
+        else:
+            out.append(0.0)
+    return out
+
+
+def _machine_inputs(
+    dag: _CompiledDag, machine: MachineSpec, perturbed: MachineSpec
+) -> tuple[list[float], float]:
+    """Per-op durations on ``perturbed`` and the host-gap scale."""
     durations = [_machine_duration(n, machine, perturbed) for n in dag.nodes]
     gap_scale = (
         perturbed.cpu.api_call_overhead / machine.cpu.api_call_overhead
     )
-    return _replayed(dag, durations, gap_scale)
+    return durations, gap_scale
 
 
 def _bound_of(
@@ -642,8 +687,14 @@ def _bound_of(
 ) -> str:
     """``"transfer"``/``"compute"``/``"host"``: what dominates the path."""
     attr = dict.fromkeys(CATEGORIES, 0.0)
-    for start, end, i, gap in dag.path(starts, ends):
-        attr["host" if gap else dag.categories[i]] += end - start
+    categories = dag.categories
+    prev_end = min(starts)
+    for i in dag.chain(starts, ends):
+        start = starts[i]
+        if start > prev_end:
+            attr["host"] += start - prev_end
+        attr[categories[i]] += ends[i] - start
+        prev_end = ends[i]
     transfer = sum(attr[c] for c in ("h2d", "d2h", "write-back", "peer"))
     compute = sum(attr[c] for c in ("kernel", "ghost"))
     host = attr["host"]

@@ -56,6 +56,7 @@ from pathlib import Path
 from typing import Any
 
 from ..bench.report import Table
+from ..errors import DagFormatError
 from ..sim.intervals import IntervalUnion
 from ..sim.trace import Trace
 from .compare import compare_snapshots
@@ -798,7 +799,11 @@ def main(argv: list[str] | None = None) -> int:
             return 2
         tables.append(blame_table(blame, top=args.top))
     if args.critpath:
-        crit = build_critpath_report(trace, manifest, top=args.top)
+        try:
+            crit = build_critpath_report(trace, manifest, top=args.top)
+        except DagFormatError as exc:
+            print(f"error: cannot load the DAG of {args.run}: {exc}", file=sys.stderr)
+            return 2
         if not crit:
             print(f"error: {args.run} carries neither a DAG nor trace events "
                   "to build the critical path from", file=sys.stderr)

@@ -129,15 +129,15 @@ def _arg_access(kernel: KernelSpec, index: int) -> str:
     return "rw"  # undeclared: conservative
 
 
-def _walk_with_multiplicity(prog: Program):
+def _walk_with_multiplicity(stmts, mult: int = 1):
     """Yield ``(statement, multiplicity)`` with loop counts multiplied."""
-    def _walk(stmts, mult):
-        for s in stmts:
-            if isinstance(s, Loop):
-                yield from _walk(s.body, mult * s.count)
-            else:
-                yield s, mult
-    yield from _walk(prog.statements, 1)
+    # recursive at module level, not as a closure over itself: a walk
+    # leaves no function <-> cell cycle for the cyclic collector
+    for s in stmts:
+        if isinstance(s, Loop):
+            yield from _walk_with_multiplicity(s.body, mult * s.count)
+        else:
+            yield s, mult
 
 
 def plan_program(
@@ -178,8 +178,8 @@ def plan_program(
         groups.find(n)
         aliases.find(n)
 
-    steps = [s for s, _m in _walk_with_multiplicity(prog) if isinstance(s, Step)]
-    for s, _mult in _walk_with_multiplicity(prog):
+    steps = [s for s, _m in _walk_with_multiplicity(prog.statements) if isinstance(s, Step)]
+    for s, _mult in _walk_with_multiplicity(prog.statements):
         if isinstance(s, Step):
             for i, fname in enumerate(s.fields):
                 acc = _arg_access(s.kernel, i)
@@ -236,7 +236,7 @@ def plan_program(
             access[n] = "rw"
 
     # -- dominant kernel + sweep count for the analytic model -------------
-    total_sweeps = sum(m for s, m in _walk_with_multiplicity(prog)
+    total_sweeps = sum(m for s, m in _walk_with_multiplicity(prog.statements)
                        if isinstance(s, Step))
     domain_cells = math.prod(prog.domain)
     dominant: KernelSpec | None = None
@@ -244,7 +244,7 @@ def plan_program(
         probe = max(1, domain_cells // 64)
         weight: dict[int, float] = {}
         by_id: dict[int, KernelSpec] = {}
-        for s, mult in _walk_with_multiplicity(prog):
+        for s, mult in _walk_with_multiplicity(prog.statements):
             if not isinstance(s, Step):
                 continue
             k = s.kernel

@@ -249,12 +249,7 @@ class Program:
 
     def walk(self) -> Iterator[Statement]:
         """Every statement, loops flattened (each loop body yielded once)."""
-        def _walk(stmts: tuple[Statement, ...]) -> Iterator[Statement]:
-            for s in stmts:
-                yield s
-                if isinstance(s, Loop):
-                    yield from _walk(s.body)
-        return _walk(self.statements)
+        return _flattened(self.statements)
 
     def field_names(self) -> tuple[str, ...]:
         """All field names, in order of first appearance."""
@@ -288,3 +283,12 @@ class Program:
             f"Program(domain={self.domain}, fields={list(self.field_names())}, "
             f"statements={len(self._stmts)})"
         )
+
+
+def _flattened(stmts: tuple[Statement, ...]) -> Iterator[Statement]:
+    # recursive at module level, not as a closure over itself: a walk
+    # leaves no function <-> cell cycle for the cyclic collector
+    for s in stmts:
+        yield s
+        if isinstance(s, Loop):
+            yield from _flattened(s.body)

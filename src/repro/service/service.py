@@ -32,7 +32,6 @@ schedules future arrivals; ``run()`` is the deterministic event loop.
 
 from __future__ import annotations
 
-import inspect
 import math
 from dataclasses import dataclass, field as dc_field
 from typing import Any, Callable
@@ -62,7 +61,7 @@ from .admission import (
     plan_total_slots,
 )
 from .session import ServiceSession
-from .workloads import build_workload
+from .workloads import KNOB_DEFAULTS, workload_inputs, workload_program
 
 #: Default total device-slot budget the partitioner apportions.
 DEFAULT_TOTAL_SLOTS = 32
@@ -71,7 +70,7 @@ DEFAULT_TOTAL_SLOTS = 32
 QUEUED, RUNNING, DONE = "queued", "running", "done"
 
 #: The knobs ``submit(workload_kwargs=...)`` may set.
-_WORKLOAD_KNOBS = frozenset(inspect.signature(build_workload).parameters) - {"name"}
+_WORKLOAD_KNOBS = frozenset(KNOB_DEFAULTS)
 
 
 @dataclass
@@ -324,9 +323,10 @@ class Service:
                     f"build_workload takes {sorted(_WORKLOAD_KNOBS)}",
                     tenant=tenant, reason="bad-submission",
                 )
-            # built here to plan and validate; the inputs are rebuilt at
-            # admission (_try_admit), so a queued job holds no arrays
-            program = build_workload(workload, **workload_kwargs).prog
+            # the program alone, to plan and validate; the inputs are
+            # built at admission (_try_admit), so a queued job holds no
+            # arrays and none is built twice
+            program = workload_program(workload, **workload_kwargs)
         job_id = name if name is not None else f"{tenant}.j{self._jobs_ever}"
         if job_id in self._results or any(
             j.id == job_id for j in self._queued + self._running
@@ -470,7 +470,7 @@ class Service:
             plan = self._plan_job(job, n_slots=capped)
 
         if job.inputs is None:
-            job.inputs = dict(build_workload(job.workload, **job.workload_kwargs).inputs)
+            job.inputs = workload_inputs(job.workload, **job.workload_kwargs)
         shareable = self._shareable_fields(job, plan)
         borrowed = {
             f: key for f, key in shareable.items() if key in self._datasets

@@ -15,6 +15,7 @@ shape the service's cross-job transfer dedup keys on.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -69,15 +70,54 @@ def build_workload(
     table of ``coeff-heat`` so equal seeds share bytes across tenants.
     """
     shape = tuple(int(s) for s in shape)
+    prog, gather, params = _program(name, shape, steps, coef, c2,
+                                    kernel_iteration, kappa_seed)
+    return WorkloadSpec(name, prog, _inputs(name, shape, seed, kappa_seed),
+                        gather, params)
+
+
+#: Every :func:`build_workload` knob with its default: the keys are what
+#: ``Service.submit(workload_kwargs=...)`` accepts.
+KNOB_DEFAULTS = {
+    p.name: p.default for p in inspect.signature(build_workload).parameters.values()
+    if p.default is not inspect.Parameter.empty
+}
+
+
+def workload_program(name: str, **knobs: Any) -> Program:
+    """The program of ``build_workload(name, **knobs)``, built without its
+    input arrays: what :meth:`~repro.service.Service.submit` plans and
+    validates a queued job with."""
+    k = {**KNOB_DEFAULTS, **knobs}
+    return _program(name, tuple(int(s) for s in k["shape"]), k["steps"], k["coef"],
+                    k["c2"], k["kernel_iteration"], k["kappa_seed"])[0]
+
+
+def workload_inputs(name: str, **knobs: Any) -> dict[str, np.ndarray]:
+    """The input arrays of ``build_workload(name, **knobs)``, built without
+    its program: what a queued job gets at its first admission attempt."""
+    k = {**KNOB_DEFAULTS, **knobs}
+    return _inputs(name, tuple(int(s) for s in k["shape"]), k["seed"], k["kappa_seed"])
+
+
+def _unknown(name: str) -> ServiceError:
+    return ServiceError(
+        f"unknown workload {name!r}; have {', '.join(WORKLOADS)}",
+        reason="unknown-workload",
+    )
+
+
+def _program(name: str, shape: tuple[int, ...], steps: int, coef: float,
+             c2: float, kernel_iteration: int,
+             kappa_seed: int) -> tuple[Program, str, dict[str, Any]]:
+    """(program, gather field, params) of a named workload."""
     if name == "heat":
         prog = Program(shape, bc=Neumann())
         with prog.sweep(steps):
             prog.step(heat_kernel(len(shape)), ("u_new", "u_old"),
                       params={"coef": coef})
             prog.swap("u_old", "u_new")
-        init = _init(shape, seed)
-        return WorkloadSpec(name, prog, {"u_old": init, "u_new": init},
-                            "u_old", {"steps": steps, "coef": coef})
+        return prog, "u_old", {"steps": steps, "coef": coef}
     if name == "wave":
         prog = Program(shape, bc=Dirichlet(0.0))
         with prog.sweep(steps):
@@ -85,27 +125,32 @@ def build_workload(
                       params={"c2": c2})
             prog.swap("u_prev", "u")
             prog.swap("u", "u_next")
-        init = _init(shape, seed)
-        return WorkloadSpec(name, prog, {"u": init, "u_prev": init},
-                            "u", {"steps": steps, "c2": c2})
+        return prog, "u", {"steps": steps, "c2": c2}
     if name == "compute":
         prog = Program(shape)
         with prog.sweep(steps):
             prog.step(compute_intensive_kernel(kernel_iteration), ("data",),
                       params={"kernel_iteration": kernel_iteration})
-        return WorkloadSpec(name, prog, {"data": _init(shape, seed)},
-                            "data",
-                            {"steps": steps, "kernel_iteration": kernel_iteration})
+        return prog, "data", {"steps": steps, "kernel_iteration": kernel_iteration}
     if name == "coeff-heat":
-        prog = coeff_heat_program(shape, steps, coef=coef)
+        return (coeff_heat_program(shape, steps, coef=coef), "u_old",
+                {"steps": steps, "coef": coef, "kappa_seed": kappa_seed})
+    raise _unknown(name)
+
+
+def _inputs(name: str, shape: tuple[int, ...], seed: int | None,
+            kappa_seed: int) -> dict[str, np.ndarray]:
+    """Initial field arrays of a named workload."""
+    if name == "heat":
         init = _init(shape, seed)
-        kappa = default_kappa(shape, seed=kappa_seed)
-        return WorkloadSpec(
-            name, prog,
-            {"u_old": init, "u_new": init, "kappa": kappa},
-            "u_old", {"steps": steps, "coef": coef, "kappa_seed": kappa_seed},
-        )
-    raise ServiceError(
-        f"unknown workload {name!r}; have {', '.join(WORKLOADS)}",
-        reason="unknown-workload",
-    )
+        return {"u_old": init, "u_new": init}
+    if name == "wave":
+        init = _init(shape, seed)
+        return {"u": init, "u_prev": init}
+    if name == "compute":
+        return {"data": _init(shape, seed)}
+    if name == "coeff-heat":
+        init = _init(shape, seed)
+        return {"u_old": init, "u_new": init,
+                "kappa": default_kappa(shape, seed=kappa_seed)}
+    raise _unknown(name)

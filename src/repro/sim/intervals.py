@@ -39,8 +39,16 @@ class IntervalUnion:
         self._acc: list[tuple[float, float]] = [(start, 0.0)]
         self._stale = 0   # first piece whose running state must be redone
         self._compensated = compensated
-        for a, b in spans:
-            self.add(a, b)
+        # one sort and one merge pass: the pieces adding each span in
+        # turn would build, for a fraction of the bisects and inserts
+        lo, hi = self.lo, self.hi
+        for a, b in sorted(spans):
+            if hi and a <= hi[-1]:
+                if b > hi[-1]:
+                    hi[-1] = b
+            else:
+                lo.append(a)
+                hi.append(b)
 
     def add(self, a: float, b: float) -> float:
         """Merge ``[a, b]`` in; returns the start of the piece it landed in

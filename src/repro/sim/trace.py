@@ -23,7 +23,7 @@ from .intervals import IntervalUnion, intersection
 CATEGORIES = ("h2d", "d2h", "kernel", "host", "sync")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceEvent:
     """One scheduled operation.
 
@@ -235,92 +235,64 @@ class Trace:
             for e in self._events
         ]
 
-    @staticmethod
-    def _us(seconds: float) -> float:
-        """Microseconds quantized to a picosecond grid.
-
-        ``round(·, 6)`` pins emitted timestamps to exact multiples of
-        1e-6 µs, so ``from_chrome_trace``'s ÷1e6 followed by a re-save's
-        ×1e6 lands back on the same grid point: save → load → save is
-        byte-stable instead of drifting by an ulp per cycle.
-        """
-        return round(seconds * 1e6, 6)
-
     def to_chrome_trace(self) -> list[dict[str, Any]]:
         """Chrome/Perfetto trace-event format (``chrome://tracing``).
 
         Lanes map to thread ids within one process; times are emitted in
         microseconds as complete ('X') events, so a timing-only simulation
         can be inspected with standard profiling UIs.
+
+        Every time is ``round(seconds * 1e6, 6)``: microseconds on a
+        picosecond grid, so ``from_chrome_trace``'s ÷1e6 followed by a
+        re-save's ×1e6 lands back on the same grid point and save → load
+        → save is byte-stable instead of drifting by an ulp per cycle.
         """
         lane_tids = {lane: tid for tid, lane in enumerate(self.lanes())}
         events = []
+        append = events.append
         for e in self._events:
-            events.append(
-                {
-                    "name": e.name,
-                    "cat": e.category,
-                    "ph": "X",
-                    "ts": self._us(e.start),
-                    "dur": self._us(e.duration),
-                    "pid": 0,
-                    "tid": lane_tids[e.lane],
-                    "args": {
-                        **({"stream": e.stream} if e.stream is not None else {}),
-                        **({"nbytes": e.nbytes} if e.nbytes else {}),
-                        **e.meta,
-                    },
-                }
-            )
+            # args: stream and nbytes first, then meta (whose keys may
+            # override either value, keeping its position)
+            args = {}
+            if e.stream is not None:
+                args["stream"] = e.stream
+            if e.nbytes:
+                args["nbytes"] = e.nbytes
+            if e.meta:
+                args.update(e.meta)
+            append({
+                "name": e.name,
+                "cat": e.category,
+                "ph": "X",
+                "ts": round(e.start * 1e6, 6),
+                "dur": round((e.end - e.start) * 1e6, 6),
+                "pid": 0,
+                "tid": lane_tids[e.lane],
+                "args": args,
+            })
         # thread-name metadata so the UI labels lanes
         for lane, tid in lane_tids.items():
-            events.append(
-                {
-                    "name": "thread_name",
-                    "ph": "M",
-                    "pid": 0,
-                    "tid": tid,
-                    "args": {"name": lane},
-                }
-            )
+            append({"name": "thread_name", "ph": "M", "pid": 0, "tid": tid,
+                    "args": {"name": lane}})
         # counter tracks (queue depth, cache occupancy) render as
         # Perfetto counters alongside the lanes
         for track in sorted(self._counters):
-            for ts, value in self._counters[track]:
-                events.append(
-                    {
-                        "name": track,
-                        "ph": "C",
-                        "ts": self._us(ts),
-                        "pid": 0,
-                        "args": {"value": value},
-                    }
-                )
+            events += [
+                {"name": track, "ph": "C", "ts": round(ts * 1e6, 6), "pid": 0,
+                 "args": {"value": value}}
+                for ts, value in self._counters[track]
+            ]
         # decision marks land on a dedicated pseudo-thread
         if self._marks:
             mark_tid = len(lane_tids)
-            events.append(
-                {
-                    "name": "thread_name",
-                    "ph": "M",
-                    "pid": 0,
-                    "tid": mark_tid,
-                    "args": {"name": "decisions"},
-                }
-            )
-            for m in self._marks:
-                events.append(
-                    {
-                        "name": m["name"],
-                        "cat": "decision",
-                        "ph": "i",
-                        "s": "t",
-                        "ts": self._us(m["ts"]),
-                        "pid": 0,
-                        "tid": mark_tid,
-                        "args": dict(m["args"]),
-                    }
-                )
+            append({"name": "thread_name", "ph": "M", "pid": 0, "tid": mark_tid,
+                    "args": {"name": "decisions"}})
+            events += [
+                {"name": m["name"], "cat": "decision", "ph": "i", "s": "t",
+                 "ts": round(m["ts"] * 1e6, 6), "pid": 0, "tid": mark_tid,
+                 "args": dict(m["args"])}
+                for m in self._marks
+            ]
         return events
 
     @classmethod

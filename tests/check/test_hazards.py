@@ -119,6 +119,32 @@ class TestCleanSchedules:
         rt.memcpy_async(h, a, s2)  # issued after the host observed s1 drain
         assert rt.checker.hazards == []
 
+    def test_host_keeps_every_stream_it_synced(self, rt):
+        # the second sync adds s2's past to the host's; it must not
+        # replace what the host learned from s1
+        a, b = rt.malloc(1024, label="a"), rt.malloc(1024, label="b")
+        ha, hb = rt.malloc_pinned(1024, label="ha"), rt.malloc_pinned(1024, label="hb")
+        s1, s2, s3 = rt.create_stream(), rt.create_stream(), rt.create_stream()
+        rt.memcpy_async(a, ha, s1)
+        rt.memcpy_async(b, hb, s2)
+        rt.stream_synchronize(s1)
+        rt.stream_synchronize(s2)
+        rt.memcpy_async(ha, a, s3)
+        rt.memcpy_async(hb, b, s3)
+        assert rt.checker.hazards == []
+
+    def test_stream_reuses_what_it_absorbed(self, rt):
+        # s2's first op absorbs the host's clocks; its second op skips
+        # them and must still be ordered after s1's copy
+        a, b = rt.malloc(1024, label="a"), rt.malloc(1024, label="b")
+        h = rt.malloc_pinned(1024, label="h")
+        s1, s2 = rt.create_stream(), rt.create_stream()
+        rt.memcpy_async(a, h, s1)
+        rt.stream_synchronize(s1)
+        rt.memcpy_async(b, h, s2)
+        rt.memcpy_async(h, a, s2)
+        assert rt.checker.hazards == []
+
     def test_device_synchronize_orders_everything_after(self, rt):
         a = rt.malloc(1024, label="a")
         h = rt.malloc_pinned(1024, label="h")
@@ -416,7 +442,7 @@ class TestLifecycle:
         ch.retire_streams(rt._runtime_id, [s1], now=second, live=[first])
         assert set(ch._streams) == {(1, s2.stream_id)}
         assert set(ch._completions) == {first, later}
-        assert set(ch._completion_ops) == {first, later}
+        assert {t: c.ops for t, c in ch._completions.items()} == {first: (1,), later: (3,)}
         assert len(ch._ticks) == timelines
         # a kept completion still resolves; the dropped one is unresolved
         rt.memcpy_async(h, d, s2, after=(first, second))
@@ -429,3 +455,121 @@ class TestLifecycle:
         s = rt.create_stream()
         rt.checker.on_stream_wait_event(rt._runtime_id, s, ev)
         assert rt.checker.hazards == []
+
+
+# -- cost and soundness of the clock bookkeeping ------------------------------
+
+
+def _covers(weak, strong) -> bool:
+    """Every tick ``strong`` has seen, ``weak`` has seen too."""
+    w, s = weak._a, strong._a
+    n = min(len(w), len(s))
+    return bool((w[:n] >= s[:n]).all() and not s[n:].any())
+
+
+def _stored_pairs(checker):
+    """Every (strong, weak) clock pair the checker holds."""
+    yield "host", checker._host.strong, checker._host.weak
+    for key, st in checker._streams.items():
+        yield f"stream {key}", st.strong, st.weak
+    for t, done in checker._completions.items():
+        yield f"completion {t!r}", done.strong, done.weak
+    for ev, (strong, weak, _op) in checker._events.items():
+        yield f"event {ev}", strong, weak
+
+
+@pytest.fixture
+def invariant_checked(monkeypatch):
+    """Check *weak covers strong* over every stored pair after every call
+    that can store one; returns the number of checks made."""
+    checks = [0]
+
+    def checked(name):
+        orig = getattr(HazardChecker, name)
+
+        def wrapper(self, *args, **kwargs):
+            try:
+                return orig(self, *args, **kwargs)
+            finally:
+                for what, strong, weak in _stored_pairs(self):
+                    assert _covers(weak, strong), f"{name}: weak misses strong in {what}"
+                checks[0] += 1
+        monkeypatch.setattr(HazardChecker, name, wrapper)
+
+    for name in ("record_op", "on_event_record", "on_stream_wait_event",
+                 "host_sync_stream", "host_sync_event"):
+        checked(name)
+    return checks
+
+
+class TestWeakCoversStrong:
+    """The checker joins no op's weak clock with its strong one: the weak
+    sources already cover the strong ones because every stored pair
+    satisfies *weak covers strong*.  Checked after every call."""
+
+    def test_limited_memory_heat(self, invariant_checked):
+        from repro.baselines.tida_runners import run_tida_heat
+
+        res = run_tida_heat(shape=(48, 24, 24), steps=3, n_regions=8, n_slots=3,
+                            device_memory_limit=310_000, check="observe",
+                            mode="timing")
+        assert invariant_checked[0] >= len(res.dag) > 100
+
+    def test_service_session(self, invariant_checked):
+        from repro.service import LoadGenerator, Service, TrafficPattern
+
+        kw = {"heat": {"shape": (16, 8, 8), "steps": 2},
+              "coeff-heat": {"shape": (16, 8, 8), "steps": 2}}
+        svc = Service(total_slots=16)
+        svc.add_tenant("vip", 2.0, priority=True)
+        svc.add_tenant("be", 1.0)
+        LoadGenerator(1, ["vip", "be"], workloads=tuple(kw), workload_kwargs=kw,
+                      pattern=TrafficPattern(mean_gap=1e-4, burst_size=2)
+                      ).replay_open(svc, 8)
+        report = svc.run()
+        svc.close()
+        assert len(report.jobs) == 8
+        assert invariant_checked[0] > 100
+
+    def test_event_edges(self, rt, invariant_checked):
+        d, h = rt.malloc(1024, label="d"), rt.malloc_pinned(1024, label="h")
+        s1, s2 = rt.create_stream(), rt.create_stream()
+        ev = rt.create_event()
+        rt.memcpy_async(d, h, s1)
+        rt.event_record(ev, s1)
+        rt.stream_wait_event(s2, ev)
+        rt.memcpy_async(h, d, s2)
+        rt.event_synchronize(ev)
+        rt.device_synchronize()
+        assert invariant_checked[0] > 4
+
+
+class TestCheckerCost:
+    """A host-speed-free cost guard: clock joins plus copies per recorded
+    op on a fixed 4-step limited-memory heat run.  Each op joins each
+    distinct source clock once and skips the sources its stream absorbed
+    at its previous op; the count is pinned, so a change that adds clock
+    work shows here.  (Joining every source, and the weak clock with the
+    strong one, took 1,473 joins and 88 copies: 9.4 joins per op.)"""
+
+    def test_joins_and_copies_per_op(self, monkeypatch):
+        from repro.baselines.tida_runners import run_tida_heat
+        from repro.check import vclock
+
+        counts = {"join": 0, "copy": 0}
+
+        def counted(name):
+            orig = getattr(vclock.VectorClock, name)
+
+            def wrapper(self, *args):
+                counts[name] += 1
+                return orig(self, *args)
+            monkeypatch.setattr(vclock.VectorClock, name, wrapper)
+
+        counted("join")
+        counted("copy")
+        res = run_tida_heat(shape=(48, 24, 24), steps=4, n_regions=8, n_slots=3,
+                            device_memory_limit=310_000, check="observe",
+                            mode="timing")
+        assert len(res.dag) == 157
+        assert counts == {"join": 626, "copy": 372}

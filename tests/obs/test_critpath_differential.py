@@ -45,6 +45,7 @@ from repro.obs.critpath import (
     critical_path,
     critpath_summary,
     flip_point,
+    machine_makespans,
     overlap_report,
     replay,
     replay_machine,
@@ -502,3 +503,18 @@ class TestRandomDags:
         assert critical_path(dag.nodes)[-1].op_id == 9   # tie -> larger id
         for machine in (MACHINE, perturb_machine(MACHINE, 1)):
             assert_same(dag, machine)
+
+
+class TestMachineMakespans:
+    """``machine_makespans`` (one compile, no nodes rebuilt) gives each
+    candidate the makespan the reference machine replay gives."""
+
+    def test_matches_reference_replay(self, heat_run):
+        runs = [heat_run.dag, run_tida_compute(MACHINE, check="observe", **COMPUTE).dag,
+                RunDag.from_trace(heat_run.trace).nodes, []]
+        candidates = [MACHINE] + [perturb_machine(MACHINE, seed) for seed in range(1, 6)]
+        for nodes in runs:
+            got = machine_makespans(nodes, machine=MACHINE, candidates=candidates)
+            want = [ref_replay_machine(nodes, machine=MACHINE, perturbed=c)[1]
+                    for c in candidates]
+            assert repr(got) == repr(want)

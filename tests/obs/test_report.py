@@ -179,6 +179,44 @@ class TestReportCli:
         assert err.count("\n") == 1 and "baseline" in err and "bad.json" in err
 
 
+class TestMalformedDagRow:
+    """``--critpath`` on a manifest whose DAG has a row that does not
+    convert prints one line naming the file, the row and the field, and
+    exits 2 (no traceback)."""
+
+    @pytest.fixture(scope="class")
+    def dag_manifest(self):
+        from repro.check.dag import dag_to_json
+
+        res = run_tida_heat(shape=(32, 32, 32), steps=2, n_regions=4,
+                            check="observe")
+        return {"schema": "repro-run-manifest/1",
+                "traceEvents": res.trace.to_chrome_trace(),
+                "metrics": res.metrics, "dag": dag_to_json(res.dag)}
+
+    def test_valid_dag_renders(self, dag_manifest, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(dag_manifest))
+        assert main([str(path), "--critpath"]) == 0
+        assert "critical path" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("field, mutate", [
+        ("start", lambda row: row.pop("start")),
+        ("deps", lambda row: row.__setitem__("deps", [[1]])),
+        ("op", lambda row: row.__setitem__("op", "x")),
+    ])
+    def test_bad_row_exits_2_with_one_line(self, field, mutate, dag_manifest,
+                                           tmp_path, capsys):
+        bad = copy.deepcopy(dag_manifest)
+        mutate(bad["dag"][3])
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        assert main([str(path), "--critpath"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "bad.json" in err
+        assert "row 3" in err and repr(field) in err
+
+
 def ref_stall_gaps(trace: Trace) -> list[tuple[float, str, float, str]]:
     """The stall table's gaps as a cursor sweep over each engine lane's
     events in start order, the code the interval union replaced."""

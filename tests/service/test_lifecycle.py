@@ -203,6 +203,55 @@ class TestBoundedCheckerState:
         for key in ("buffers", "streams", "completions"):
             assert n2[key] == n[key], key
 
+    def test_retired_stream_leaves_no_absorbed_source_record(self, monkeypatch):
+        # each stream state records the stamps of the host and completion
+        # clock pairs its last op absorbed; the record goes with the state
+        # when the stream is retired, and holds ints, never clocks
+        from repro.check.hazards import HazardChecker
+
+        used = set()
+        record_op = HazardChecker.record_op
+
+        def noting(self, **kw):
+            used.update((self._rt(rt), s.stream_id) for rt, s in kw["streams"])
+            return record_op(self, **kw)
+
+        monkeypatch.setattr(HazardChecker, "record_op", noting)
+        svc = Service(total_slots=16)
+        svc.add_tenant("vip", 2.0, priority=True)
+        svc.add_tenant("be", 1.0)
+        LoadGenerator(1, ["vip", "be"], workloads=tuple(self.KW), workload_kwargs=self.KW,
+                      pattern=TrafficPattern(mean_gap=1e-4, burst_size=2)
+                      ).replay_open(svc, 12)
+        svc.run()
+        checker = svc.runtime.checker
+        live = set(checker._streams)
+        assert len(used) > 20 and len(live) == 1
+        assert all(key not in live for key in used - live)
+        for st in checker._streams.values():
+            assert st.seen and all(type(stamp) is int for stamp in st.seen)
+        svc.close()
+
+    def test_reaped_job_is_freed_by_reference_counting(self):
+        # no reaped job's manager, pool or buffers wait for the cyclic
+        # collector: with it off, the checker tracks no buffer at the end
+        gc.collect()
+        gc.disable()
+        try:
+            svc = Service(total_slots=16)
+            svc.add_tenant("vip", 2.0, priority=True)
+            svc.add_tenant("be", 1.0)
+            LoadGenerator(1, ["vip", "be"], workloads=tuple(self.KW),
+                          workload_kwargs=self.KW,
+                          pattern=TrafficPattern(mean_gap=1e-4, burst_size=2)
+                          ).replay_open(svc, 12)
+            report = svc.run()
+            svc.close()
+            assert len(report.jobs) == 12
+            assert len(svc.runtime.checker._buffers) == 0
+        finally:
+            gc.enable()
+
     def test_shed_slot_stream_is_retired(self):
         # the slot a priority job takes from a best-effort pool is gone
         # from the pool when the job is reaped; its stream goes too
@@ -218,3 +267,31 @@ class TestBoundedCheckerState:
         svc.close()
         assert svc.metrics.value("cache.shed") == 1
         assert svc.runtime.checker._streams == {}
+
+
+class TestQueuedJobInputs:
+    """A named workload's input arrays are built once per job, when it is
+    first considered for admission; ``submit`` builds only its program."""
+
+    def test_submit_builds_no_input_array(self, monkeypatch):
+        from repro.service import workloads
+
+        built = []
+        inputs = workloads._inputs
+
+        def counting(name, *args):
+            built.append(name)
+            return inputs(name, *args)
+
+        monkeypatch.setattr(workloads, "_inputs", counting)
+        svc = Service(total_slots=16)
+        svc.add_tenant("t")
+        kinds = ("heat", "wave", "compute", "coeff-heat", "heat", "heat")
+        for i, name in enumerate(kinds):
+            svc.submit("t", workload=name, at=i * 1e-4,
+                       workload_kwargs={"shape": (16, 8, 8), "steps": 1, "seed": i})
+        assert built == []
+        report = svc.run()
+        svc.close()
+        assert len(report.jobs) == len(kinds)
+        assert sorted(built) == sorted(kinds)

@@ -2,6 +2,9 @@
 
 import json
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.sim.trace import Trace, TraceEvent
 
 
@@ -126,3 +129,140 @@ class TestCli:
         assert main(["trace", "--steps", "1", "--out", str(out_file)]) == 0
         data = json.loads(out_file.read_text())
         assert len(data["traceEvents"]) > 0
+
+
+# -- the export against the per-event reference ------------------------------
+
+
+class _RefTrace:
+    """The trace's state plus the ``_us`` quantizer the reference calls."""
+
+    def __init__(self, trace):
+        self._events, self._counters, self._marks = (
+            trace._events, trace._counters, trace._marks)
+        self.lanes = trace.lanes
+
+    @staticmethod
+    def _us(seconds):
+        return round(seconds * 1e6, 6)
+
+
+def ref_to_chrome_trace(trace):
+    """``Trace.to_chrome_trace`` before its rows were built inline, verbatim
+    (``self`` is the trace)."""
+    self = _RefTrace(trace)
+    lane_tids = {lane: tid for tid, lane in enumerate(self.lanes())}
+    events = []
+    for e in self._events:
+        events.append(
+            {
+                "name": e.name,
+                "cat": e.category,
+                "ph": "X",
+                "ts": self._us(e.start),
+                "dur": self._us(e.duration),
+                "pid": 0,
+                "tid": lane_tids[e.lane],
+                "args": {
+                    **({"stream": e.stream} if e.stream is not None else {}),
+                    **({"nbytes": e.nbytes} if e.nbytes else {}),
+                    **e.meta,
+                },
+            }
+        )
+    for lane, tid in lane_tids.items():
+        events.append(
+            {
+                "name": "thread_name",
+                "ph": "M",
+                "pid": 0,
+                "tid": tid,
+                "args": {"name": lane},
+            }
+        )
+    for track in sorted(self._counters):
+        for ts, value in self._counters[track]:
+            events.append(
+                {
+                    "name": track,
+                    "ph": "C",
+                    "ts": self._us(ts),
+                    "pid": 0,
+                    "args": {"value": value},
+                }
+            )
+    if self._marks:
+        mark_tid = len(lane_tids)
+        events.append(
+            {
+                "name": "thread_name",
+                "ph": "M",
+                "pid": 0,
+                "tid": mark_tid,
+                "args": {"name": "decisions"},
+            }
+        )
+        for m in self._marks:
+            events.append(
+                {
+                    "name": m["name"],
+                    "cat": "decision",
+                    "ph": "i",
+                    "s": "t",
+                    "ts": self._us(m["ts"]),
+                    "pid": 0,
+                    "tid": mark_tid,
+                    "args": dict(m["args"]),
+                }
+            )
+    return events
+
+
+times = st.floats(0.0, 1e-2, allow_nan=False) | st.integers(0, 5).map(lambda k: k * 1e-4)
+#: meta keys include the two the export writes itself, so meta can
+#: override ``stream``/``nbytes`` (keeping their position) or add them
+meta = st.dictionaries(st.sampled_from(["stream", "nbytes", "n_cells", "region"]),
+                       st.integers(-2, 9) | st.text(max_size=3), max_size=3)
+span = st.tuples(
+    st.text(max_size=4), st.sampled_from(["kernel", "h2d", "d2h", "host", "sync"]),
+    st.sampled_from(["compute", "h2d", "d2h", "host"]), times, times,
+    st.none() | st.integers(0, 4), st.sampled_from([0, 0, 64, 4096]), meta,
+)
+counter = st.tuples(st.sampled_from(["queue_depth:h2d", "cache_occupancy:u"]),
+                    times, st.floats(0, 8, allow_nan=False) | st.integers(0, 8))
+mark = st.tuples(st.sampled_from(["cache-miss", "evict", "iteration"]), times,
+                 st.dictionaries(st.sampled_from(["field", "region", "slot"]),
+                                 st.integers(0, 5), max_size=2))
+
+
+class TestExportDifferential:
+    """The inline export gives the reference's JSON bytes without
+    ``sort_keys``: same events, same key order, same args."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(span, max_size=8), st.lists(counter, max_size=6),
+           st.lists(mark, max_size=4))
+    def test_same_bytes_as_reference(self, spans, counters, marks):
+        t = Trace()
+        for name, cat, lane, a, b, stream, nbytes, m in spans:
+            t.add(TraceEvent(name, cat, lane, min(a, b), max(a, b), stream=stream,
+                             nbytes=nbytes, meta=m))
+        for track, ts, value in counters:
+            t.record_counter(track, ts, value)
+        for name, ts, args in marks:
+            t.mark(name, ts, **args)
+        got, want = t.to_chrome_trace(), ref_to_chrome_trace(t)
+        assert json.dumps(got) == json.dumps(want)
+        assert got == want
+
+    def test_meta_overrides_stream_and_nbytes_in_place(self):
+        t = Trace()
+        t.record("k", "kernel", "compute", 0.0, 1.0, stream=None, nbytes=0,
+                 region=3, stream_hint=1)
+        t.add(TraceEvent("u", "h2d", "h2d", 0.0, 1.0, stream=2, nbytes=8,
+                         meta={"n": 1, "stream": 5, "nbytes": 9}))
+        for got, want in zip(t.to_chrome_trace(), ref_to_chrome_trace(t)):
+            assert list(got.get("args", {}).items()) == list(want.get("args", {}).items())
+        spans = [e for e in t.to_chrome_trace() if e["ph"] == "X"]
+        assert list(spans[0]["args"]) == ["region", "stream_hint"]
+        assert list(spans[1]["args"].items()) == [("stream", 5), ("nbytes", 9), ("n", 1)]
