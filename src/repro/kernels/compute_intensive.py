@@ -13,9 +13,18 @@ Cost metadata: one read + one write per cell (16 B) and, per inner
 iteration, one sin + one cos + one sqrt (costed via the active
 :class:`~repro.config.MathModel` — the Fig. 6 comparison) plus ~4 plain
 flops (multiplies/add/index).
+
+In functional mode the body runs on every host CPU, the way a GPU
+spreads cells over its SMs: each cell's update reads only that cell, and
+numpy's float64 ``sin``/``cos``/``sqrt`` release the interpreter lock, so
+contiguous row blocks of the view run in parallel threads and leave the
+same bytes as one serial pass.
 """
 
 from __future__ import annotations
+
+import contextvars
+import os
 
 import numpy as np
 
@@ -29,6 +38,36 @@ from ..errors import CudaInvalidValueError
 #: ~13.1 ms, and 48 inner iterations put the PGI-math kernel at ~14.4 ms.
 DEFAULT_KERNEL_ITERATION = 48
 
+#: Fewest cells a block gets before a view is split.  Handing a block to
+#: another thread costs a wake-up and each numpy call a lock hand-off; at
+#: 48 iterations on a shared 2-vCPU x86 host, two blocks of 256 cells ran
+#: at 0.79x one serial pass, of 512 cells 1.02-1.30x, of 1,024 cells
+#: 1.48-1.51x and of 4,096 cells 1.82x.  The floor counts cells, not
+#: iterations: below about 6 iterations two 1,024-cell blocks still lose
+#: (0.45x at one iteration).
+MIN_BLOCK_CELLS = 1024
+
+#: Runs every block but the caller's; created at the first split.
+_pool = None
+
+
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _ci_loop(view: np.ndarray, kernel_iteration: int) -> None:
+    """The iteration loop over one block.  Pool threads run this, never
+    ``_ci_body``: layerbench's tracer wraps ``_ci_body`` by name and
+    keeps one span stack, for the calling thread."""
+    for _ in range(kernel_iteration):
+        s = np.sin(view)
+        c = np.cos(view)
+        view += np.sqrt(s * s + c * c)
+
 
 def _ci_body(
     data: np.ndarray,
@@ -36,18 +75,42 @@ def _ci_body(
     hi: tuple[int, ...],
     kernel_iteration: int = DEFAULT_KERNEL_ITERATION,
 ) -> None:
+    global _pool
     view = data[tuple(slice(l, h) for l, h in zip(lo, hi))]
-    for _ in range(int(kernel_iteration)):
-        s = np.sin(view)
-        c = np.cos(view)
-        view += np.sqrt(s * s + c * c)
+    n = int(kernel_iteration)
+    blocks = view.size // MIN_BLOCK_CELLS
+    if blocks > 1:
+        blocks = min(blocks, view.shape[0], _cpus())
+    if blocks < 2:
+        _ci_loop(view, n)
+        return
+    from concurrent.futures import ThreadPoolExecutor, wait
+    if _pool is None:
+        _pool = ThreadPoolExecutor(thread_name_prefix="compute-intensive")
+    rows = view.shape[0]
+    # each worker block runs in its own copy of the caller's context, so
+    # np.errstate (a context variable since numpy 2) reaches it
+    futures = [
+        _pool.submit(contextvars.copy_context().run, _ci_loop,
+                     view[rows * b // blocks:rows * (b + 1) // blocks], n)
+        for b in range(1, blocks)
+    ]
+    try:
+        _ci_loop(view[:rows // blocks], n)
+    finally:
+        wait(futures)
+    for f in futures:  # the first failed block in row order, as one pass would
+        f.result()
 
 
 def compute_intensive_kernel(kernel_iteration: int = DEFAULT_KERNEL_ITERATION) -> KernelSpec:
-    """The sin/cos benchmark kernel with a chosen inner-loop count."""
-    if kernel_iteration < 1:
+    """The sin/cos benchmark kernel with a chosen inner-loop count, an
+    integer >= 1 (``CudaInvalidValueError`` otherwise)."""
+    if (isinstance(kernel_iteration, bool)
+            or not isinstance(kernel_iteration, (int, np.integer))
+            or kernel_iteration < 1):
         raise CudaInvalidValueError(
-            f"kernel_iteration must be >= 1, got {kernel_iteration}"
+            f"kernel_iteration must be an integer >= 1, got {kernel_iteration!r}"
         )
     it = float(kernel_iteration)
     return KernelSpec(

@@ -84,6 +84,20 @@ class TestComputeIntensive:
         with pytest.raises(CudaInvalidValueError):
             compute_intensive_kernel(0)
 
+    @pytest.mark.parametrize("bad", [2.5, 3.0, float("nan"), float("inf"), "4",
+                                     None, True, -2, np.float64(2.0)])
+    def test_non_integer_iteration_rejected(self, bad):
+        """2.5 used to be charged 2.5 iterations while the body ran 2, and
+        NaN or inf failed only inside the body, at run time."""
+        with pytest.raises(CudaInvalidValueError, match="kernel_iteration"):
+            compute_intensive_kernel(bad)
+
+    @pytest.mark.parametrize("good", [1, 7, np.int64(7), np.int32(7), np.uint8(7)])
+    def test_integer_iteration_accepted(self, good):
+        k = compute_intensive_kernel(good)
+        assert k.sin_per_cell == float(good)
+        assert k.meta["kernel_iteration"] == good
+
     @given(st.integers(1, 8))
     @settings(max_examples=10, deadline=None)
     def test_property_monotone_in_steps(self, it):

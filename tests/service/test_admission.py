@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import ServiceError
+from repro.errors import CudaInvalidValueError, ServiceError
 from repro.faults.plan import FaultPlan, FaultRule
 from repro.service import (
     ADMIT,
@@ -26,6 +26,7 @@ from repro.service import (
 )
 
 HEAT_KW = {"shape": (32, 16, 16), "steps": 1, "seed": 0}
+COMPUTE_KW = {"shape": (8, 8, 8), "steps": 1, "kernel_iteration": 4, "seed": 0}
 
 
 class TestQueueUnderPressure:
@@ -181,6 +182,24 @@ class TestServiceErrors:
         svc.add_tenant("b", 2.0)
         jid = svc.submit("b", workload="heat", workload_kwargs=HEAT_KW)
         assert svc.run().jobs[jid].finished > 0
+        svc.close()
+
+    @pytest.mark.parametrize("it", [float("nan"), float("inf"), 2.5, "4", 0])
+    def test_bad_kernel_iteration(self, it):
+        """A NaN iteration count used to be queued and then kill run()
+        with a raw ValueError from the kernel body, taking every tenant's
+        jobs with it; it is refused at submit, naming the knob."""
+        svc = Service()
+        svc.add_tenant("a")
+        svc.add_tenant("b")
+        with pytest.raises(CudaInvalidValueError, match=r"kernel_iteration"):
+            svc.submit("a", workload="compute",
+                       workload_kwargs={**COMPUTE_KW, "kernel_iteration": it})
+        ja = svc.submit("a", workload="compute", workload_kwargs=COMPUTE_KW)
+        jb = svc.submit("b", workload="heat", workload_kwargs=HEAT_KW)
+        assert ja == "a.j0"
+        jobs = svc.run().jobs
+        assert jobs[ja].finished > 0 and jobs[jb].finished > 0
         svc.close()
 
     def test_duplicate_tenant(self):
