@@ -33,9 +33,11 @@ reliable; unmatched components are counted under
 ``check.after_unresolved`` and ignored.
 
 State follows the live program, not its history: buffers and events are
-held weakly and forgotten when they die, and
-:meth:`HazardChecker.retire_streams` drops a finished job's streams and
-every completion time no surviving caller can still name.
+held weakly and forgotten when they die, a completion record keeps its
+clocks only until the host has synchronized past every op it holds
+(later ops join the host's clocks, so naming it then only adds DAG
+edges), and :meth:`HazardChecker.retire_streams` drops a finished job's
+streams and every completion time no surviving caller can still name.
 """
 
 from __future__ import annotations
@@ -167,17 +169,22 @@ class _StreamState:
     stored clock is never mutated: every update builds a new one, so two
     names for the same clock object hold the same ticks.
 
-    The other fields belong to streams only: ``tid`` is the stream's
-    timeline, ``last_op`` the DAG node of its latest op, ``pending`` the
-    event-wait ops its next op depends on, and ``seen`` the stamps of the
-    host and completion clock pairs its latest op absorbed (ints, so no
-    clock is kept alive by them).  :meth:`HazardChecker._stream_state`
+    The other fields belong to streams only: ``key`` is ``((runtime,
+    stream),)``, the DAG-node streams of an op on it alone (one tuple for
+    every such op), ``tid`` its timeline, ``stamp`` names its clock pair, ``last_op`` is the DAG node
+    of its latest op, ``pending`` the event-wait ops its next op depends
+    on, ``seen`` the stamps of the clock pairs its latest op absorbed
+    (ints, so no clock is kept alive by them), and ``clocked`` a chain
+    ``(tick, completion, rest)`` of its ops the host has not yet
+    synchronized past, newest first (``None`` when there are none; small
+    tuples, not a list that grows and is dropped at every sync).  :meth:`HazardChecker._stream_state`
     sets them when it first tracks a stream, so any object holding a
     ``strong`` and a ``weak`` clock can stand in for this class (the
     dict-clock reference in ``tests/check/test_vclock.py`` does).
     """
 
-    __slots__ = ("strong", "weak", "tid", "last_op", "pending", "seen")
+    __slots__ = ("strong", "weak", "key", "tid", "stamp", "last_op", "pending",
+                 "seen", "clocked")
 
     def __init__(self) -> None:
         self.strong = VectorClock()
@@ -185,31 +192,47 @@ class _StreamState:
 
 
 class _EngineState:
-    """One hardware engine's FIFO knowledge: the weak clock and the DAG
-    node of its latest op.  It keeps the engine object alive,
-    so the id the checker keys it by cannot be reused."""
+    """One hardware engine's FIFO knowledge: the weak clock, the DAG node
+    and the clock-pair stamp of its latest op, and ``(name,)``, the
+    DAG-node engines of an op on it alone.  It keeps the engine object
+    alive, so the id the checker keys it by cannot be reused."""
 
-    __slots__ = ("engine", "name", "weak", "last_op")
+    __slots__ = ("engine", "names", "weak", "last_op", "stamp")
 
     def __init__(self, engine: Any) -> None:
         self.engine = engine
-        self.name = getattr(engine, "name", "?")
+        self.names = (getattr(engine, "name", "?"),)
         self.weak: VectorClock | None = None
         self.last_op: DagNode | None = None
+        self.stamp = 0
 
 
 class _Completion:
     """Every op that ended at one instant: their merged clocks, their ids,
-    and the stamp of the clock pair (new whenever the pair changes)."""
+    the stamp of the clock pair, and how many of the ops the host has not
+    synchronized past.  When that count reaches 0 the clocks go (both
+    None): every later op's clocks cover them, so an ``after=`` naming
+    the instant only adds DAG edges."""
 
-    __slots__ = ("strong", "weak", "ops", "stamp")
+    __slots__ = ("strong", "weak", "ops", "stamp", "unsynced")
 
     def __init__(self, strong: VectorClock, weak: VectorClock, ops: tuple[int, ...],
                  stamp: int) -> None:
-        self.strong = strong
-        self.weak = weak
+        self.strong: VectorClock | None = strong
+        self.weak: VectorClock | None = weak
         self.ops = ops
         self.stamp = stamp
+        self.unsynced = 1
+
+
+def _synced_past(chain: tuple | None) -> None:
+    """The host synchronized past the ops of a ``clocked`` chain: release
+    their completions' clocks once it has passed every op one holds."""
+    while chain is not None:
+        _tick, done, chain = chain
+        done.unsynced -= 1
+        if not done.unsynced:
+            done.strong = done.weak = None
 
 
 def _hazard(kind: str, label: str, earlier: _Access, later: _Access,
@@ -218,15 +241,6 @@ def _hazard(kind: str, label: str, earlier: _Access, later: _Access,
     weak clock covers ``earlier``, else a race."""
     severity = "warning" if weak.covers_any(earlier[0]) else "error"
     return Hazard(severity, kind, label, _access_info(earlier), _access_info(later))
-
-
-def _joined(clocks: Iterable[VectorClock]) -> VectorClock:
-    """A new clock holding the join of ``clocks`` (at least one)."""
-    it = iter(clocks)
-    out = next(it).copy()
-    for c in it:
-        out.join(c)
-    return out
 
 
 def _forgetter(refs: dict[int, Any], *states: dict[int, Any]):
@@ -332,10 +346,13 @@ class HazardChecker:
         st = self._streams.get(key)
         if st is None:
             st = self._streams[key] = _StreamState()
+            st.key = (key,)
             st.tid = ("stream",) + key
+            st.stamp = self._new_stamp()
             st.last_op = None
             st.pending = None
             st.seen = ()
+            st.clocked = None
         return st
 
     def _new_stamp(self) -> int:
@@ -367,80 +384,84 @@ class HazardChecker:
         racy conflict raises :class:`HazardError` *after* the op's state
         is folded in (the trace and counters stay consistent).
         """
-        skeys = []
-        states = []
-        # The op's clocks join each distinct source clock once (keyed by
-        # id: every source is alive for the whole call): its streams',
-        # the host's and each resolved after= completion's.  A source
-        # whose stamp a stream's previous op absorbed is skipped: the
+        # The op's clocks join each distinct source pair once, told apart
+        # by stamp: its streams', the host's and each resolved after=
+        # completion's, plus the weak clock of each engine's latest op.  A
+        # pair whose stamp a stream's latest op absorbed is skipped: the
         # stream's clocks still cover it.
-        strong_src: dict[int, VectorClock] = {}
-        weak_src: dict[int, VectorClock] = {}
+        rt_ids = self._rt_ids
+        ticks = self._ticks
+        skeys = epochs = seen = ()
+        states = []
+        strongs = []
+        weaks = []
+        named = []
         # DAG edges, strongest kind first (a predecessor reachable several
         # ways keeps the most meaningful kind)
-        dag_deps: dict[int, str] = {}
-        seen: tuple[int, ...] = ()
+        deps: dict[int, str] = {}
         for rtid, s in streams:
-            key = (self._rt(rtid), s.stream_id)
-            skeys.append(key)
-            st = self._stream_state(key)
+            key = (rt_ids.get(rtid) or self._rt(rtid), s.stream_id)
+            st = self._streams.get(key) or self._stream_state(key)
+            skeys += st.key  # an op on one stream shares its tuple
             states.append(st)
-            strong_src[id(st.strong)] = st.strong
-            weak_src[id(st.weak)] = st.weak
+            tid = st.tid
+            t = ticks[tid] = ticks.get(tid, 0) + 1
+            epochs += ((tid, t),)
+            if st.stamp not in named:
+                named.append(st.stamp)
+                strongs.append(st.strong)
+                weaks.append(st.weak)
             seen += st.seen
             if st.pending is not None:
                 for waited in st.pending:
-                    dag_deps.setdefault(waited.op_id, "event")
+                    deps.setdefault(waited.op_id, "event")
                 st.pending = None
-        named = [self._host_stamp]
-        if self._host_stamp not in seen:
-            host = self._host
-            strong_src[id(host.strong)] = host.strong
-            weak_src[id(host.weak)] = host.weak
+        stamp = self._host_stamp
+        if stamp not in named:
+            named.append(stamp)
+            if stamp not in seen:
+                strongs.append(self._host.strong)
+                weaks.append(self._host.weak)
         completions = self._completions
         for a in after:
             if a is None or a <= 0.0:
                 continue
-            done = completions.get(float(a))
+            done = completions.get(a)
             if done is None:
                 self._inc("check.after_unresolved")
                 continue
             for oid in done.ops:
-                dag_deps.setdefault(oid, "after")
+                deps.setdefault(oid, "after")
             stamp = done.stamp
-            if stamp in named:
+            # no clocks: the host synchronized past it, and the host's
+            # clocks are joined or absorbed above
+            if done.strong is None or stamp in named:
                 continue
             named.append(stamp)
             if stamp not in seen:
-                strong_src[id(done.strong)] = done.strong
-                weak_src[id(done.weak)] = done.weak
+                strongs.append(done.strong)
+                weaks.append(done.weak)
         for st in states:
             if st.last_op is not None:
-                dag_deps.setdefault(st.last_op.op_id, "stream")
+                deps.setdefault(st.last_op.op_id, "stream")
         engine_states = []
-        engine_names = []
+        engine_names = ()
+        weak_only = ()  # stamps of the pairs only a weak clock is taken from
         for e in engines:
             es = self._engines.get(id(e))
             if es is None:
                 es = self._engines[id(e)] = _EngineState(e)
             engine_states.append(es)
-            engine_names.append(es.name)
+            engine_names += es.names
             if es.weak is not None:
-                weak_src[id(es.weak)] = es.weak
-                dag_deps.setdefault(es.last_op.op_id, "engine")
-        strong = _joined(strong_src.values())
-        weak = _joined(weak_src.values())
-        ticks = self._ticks
-        epochs = []
-        for st in states:
-            tid = st.tid
-            t = ticks.get(tid, 0) + 1
-            ticks[tid] = t
-            strong.set(tid, t)
-            weak.set(tid, t)
-            epochs.append((tid, t))
-        self._op_seq += 1
-        op_id = self._op_seq
+                deps.setdefault(es.last_op.op_id, "engine")
+                stamp = es.stamp
+                if stamp not in named and stamp not in seen and stamp not in weak_only:
+                    weak_only += (stamp,)
+                    weaks.append(es.weak)
+        strong = VectorClock.joined(strongs, epochs)
+        weak = VectorClock.joined(weaks, epochs)
+        self._op_seq = op_id = self._op_seq + 1
         counter = self._ops_counter
         if counter is None and self.metrics is not None:
             counter = self._ops_counter = self.metrics.counter("check.ops")
@@ -452,69 +473,29 @@ class HazardChecker:
         host_floor = self._last_issue
         if host_op is not None and host_op.end > host_floor:
             host_floor = host_op.end
-        skeys = tuple(skeys)
+        gap = now - host_floor
         node = DagNode(
-            op_id, kind, label, start, end, now, int(nbytes), skeys,
-            tuple(engine_names),
-            tuple(sorted(dag_deps.items())),
+            op_id, kind, label, start, end, now, int(nbytes), skeys, engine_names,
+            tuple(sorted(deps.items())),
             None if host_op is None else host_op.op_id,
-            max(0.0, now - host_floor),
+            gap if gap > 0.0 else 0.0,
             cost,
         )
         self.dag.append(node)
         if now > self._last_issue:
             self._last_issue = now
 
-        access = (tuple(epochs), node)
-        found = self._check_accesses(access, strong, weak, reads, writes)
-
-        # fold the op into the world before (possibly) raising
-        seen = tuple(named)
-        for st in states:
-            st.strong = strong
-            st.weak = weak
-            st.last_op = node
-            st.seen = seen
-        for es in engine_states:
-            es.weak = weak
-            es.last_op = node
-        done = completions.get(end)
-        if done is None:
-            completions[end] = _Completion(strong, weak, (op_id,), self._new_stamp())
-            self._unretired.append(end)
-        else:
-            # two ops completing at the same instant: merge (an `after=`
-            # equal to that instant depends on both)
-            done.strong = done.strong.copy().join(strong)
-            done.weak = done.weak.copy().join(weak)
-            done.ops += (op_id,)
-            done.stamp = self._new_stamp()
-
-        for hazard in found:
-            self._report(hazard, now)
-        if self.mode == "strict":
-            for hazard in found:
-                if hazard.severity == "error":
-                    err = HazardError(hazard.describe(), hazard=hazard)
-                    if self.telemetry is not None:
-                        self.telemetry.notify_incident("hazard", error=err, now=now)
-                    raise err
-
-    def _check_accesses(
-        self,
-        access: _Access,
-        strong: VectorClock,
-        weak: VectorClock,
-        reads: Sequence[Any],
-        writes: Sequence[Any],
-    ) -> list[Hazard]:
+        # buffer accesses: the strong clock must cover each conflicting
+        # earlier access; the weak one tells FIFO luck from a race
+        access = (epochs, node)
         found: list[Hazard] = []
         covered = strong.covers_any
+        buffers = self._buffers
         write_ids = tuple(map(id, writes))
         for buf in reads:
             if id(buf) in write_ids:
                 continue  # handled as a write below (RAW reported there)
-            st = self._buf_state(buf)
+            st = buffers.get(id(buf)) or self._buf_state(buf)
             if st.last_write is not None and not covered(st.last_write[0]):
                 found.append(_hazard("RAW", st.label, st.last_write, access, weak))
             # drop readers this read already covers: any later write that
@@ -526,7 +507,7 @@ class HazardChecker:
             else:
                 st.readers = [access]
         for buf in writes:
-            st = self._buf_state(buf)
+            st = buffers.get(id(buf)) or self._buf_state(buf)
             if st.last_write is not None and not covered(st.last_write[0]):
                 kind = "RAW" if any(b is buf for b in reads) else "WAW"
                 found.append(_hazard(kind, st.label, st.last_write, access, weak))
@@ -535,7 +516,51 @@ class HazardChecker:
                     found.append(_hazard("WAR", st.label, r, access, weak))
             st.last_write = access
             st.readers = ()
-        return found
+
+        # fold the op into the world before (possibly) raising
+        self._stamp = stamp = self._stamp + 1
+        seen = tuple(named)
+        for st in states:
+            st.strong = strong
+            st.weak = weak
+            st.stamp = stamp
+            st.last_op = node
+            st.seen = seen
+        for es in engine_states:
+            es.weak = weak
+            es.last_op = node
+            es.stamp = stamp
+        done = completions.get(end)
+        if done is None:
+            done = completions[end] = _Completion(strong, weak, (op_id,), stamp)
+            self._unretired.append(end)
+        else:
+            # two ops completing at the same instant: merge (an `after=`
+            # equal to that instant depends on both)
+            if done.strong is None:
+                # the host synchronized past the earlier ones, and this
+                # op's clocks cover the host's: the merge is this op's pair
+                done.strong, done.weak, done.stamp = strong, weak, stamp
+            else:
+                done.strong = VectorClock.joined((done.strong, strong))
+                done.weak = VectorClock.joined((done.weak, weak))
+                done.stamp = self._new_stamp()
+            done.ops += (op_id,)
+            done.unsynced += 1
+        # the completion holds this op's clocks until the host synchronizes
+        # with the op's (first) stream
+        first = states[0]
+        first.clocked = (epochs[0][1], done, first.clocked)
+
+        for hazard in found:
+            self._report(hazard, now)
+        if self.mode == "strict":
+            for hazard in found:
+                if hazard.severity == "error":
+                    err = HazardError(hazard.describe(), hazard=hazard)
+                    if self.telemetry is not None:
+                        self.telemetry.notify_incident("hazard", error=err, now=now)
+                    raise err
 
     def _buf_state(self, buf: Any) -> _BufferState:
         key = id(buf)
@@ -582,10 +607,10 @@ class HazardChecker:
             return  # recorded before the checker existed (or never): no edge
         st = self._stream_state((self._rt(runtime_id), stream.stream_id))
         strong, weak, ev_op = snap
-        if strong is not st.strong:
-            st.strong = st.strong.copy().join(strong)
-        if weak is not st.weak:
-            st.weak = st.weak.copy().join(weak)
+        if strong is not st.strong or weak is not st.weak:
+            st.strong = VectorClock.joined((st.strong, strong))
+            st.weak = VectorClock.joined((st.weak, weak))
+            st.stamp = self._new_stamp()
         if ev_op is not None:
             if st.pending is None:
                 st.pending = [ev_op]
@@ -593,19 +618,25 @@ class HazardChecker:
                 st.pending.append(ev_op)
 
     def host_sync_stream(self, runtime_id: int, stream: Any) -> None:
-        """The host blocked until ``stream`` drained: it now knows its past."""
+        """The host blocked until ``stream`` drained: it now knows its past,
+        so the stream's ops release their completions' clocks."""
         st = self._streams.get((self._rt(runtime_id), stream.stream_id))
         if st is None:
             return
-        host = self._host
-        if self._host_stamp in st.seen:
-            # the stream's latest op absorbed the host's clocks: the join
-            # is the stream's clocks themselves
-            host.strong, host.weak = st.strong, st.weak
-        else:
-            host.strong = host.strong.copy().join(st.strong)
-            host.weak = host.weak.copy().join(st.weak)
-        self._host_stamp = self._new_stamp()
+        if self._host_stamp != st.stamp:
+            host = self._host
+            if self._host_stamp in st.seen:
+                # the stream's latest op absorbed the host's clocks: the
+                # join is the stream's clock pair itself
+                host.strong, host.weak = st.strong, st.weak
+                self._host_stamp = st.stamp
+            else:
+                host.strong = VectorClock.joined((host.strong, st.strong))
+                host.weak = VectorClock.joined((host.weak, st.weak))
+                self._host_stamp = self._new_stamp()
+        if st.clocked is not None:
+            _synced_past(st.clocked)
+            st.clocked = None
         self._note_host_blocked_on(st.last_op)
 
     def _note_host_blocked_on(self, op: DagNode | None) -> None:
@@ -619,15 +650,35 @@ class HazardChecker:
             self.host_sync_stream(runtime_id, s)
 
     def host_sync_event(self, event: Any) -> None:
-        """``cudaEventSynchronize``."""
+        """``cudaEventSynchronize``: the host knows the event's past, so the
+        ops before it on its stream release their completions' clocks."""
         snap = self._events.get(id(event))
         if snap is None:
             return
         host = self._host
-        host.strong = host.strong.copy().join(snap[0])
-        host.weak = host.weak.copy().join(snap[1])
+        host.strong = VectorClock.joined((host.strong, snap[0]))
+        host.weak = VectorClock.joined((host.weak, snap[1]))
         self._host_stamp = self._new_stamp()
-        self._note_host_blocked_on(snap[2])
+        ev_op = snap[2]
+        if ev_op is not None:
+            for key in ev_op.streams:
+                st = self._streams.get(key)
+                if st is None or st.clocked is None:
+                    continue
+                # an op is covered once the host has its tick: O(1); the
+                # chain is newest first, so the uncovered ops lead it
+                upto = host.strong.get(st.tid)
+                kept = []
+                chain = st.clocked
+                while chain is not None and chain[0] > upto:
+                    kept.append(chain[:2])
+                    chain = chain[2]
+                _synced_past(chain)
+                chain = None
+                for tick, done in reversed(kept):
+                    chain = (tick, done, chain)
+                st.clocked = chain
+        self._note_host_blocked_on(ev_op)
 
     def forget(self, buf: Any) -> None:
         """A buffer was freed: stop tracking it (its id may be recycled)."""
@@ -640,9 +691,10 @@ class HazardChecker:
         """A finished job's streams will queue no more work: forget them.
 
         Drops each stream's state (clocks, last op, pending event waits,
-        absorbed stamps), and every completion record that ended by
-        ``now`` and is not in ``live``, the completion times some
-        surviving caller may still pass as ``after=``.  An op issued later
+        absorbed stamps, the ops it lists for release), and every
+        completion record that ended by ``now`` and is not in ``live``, the
+        completion times some surviving caller may still pass as
+        ``after=``.  An op issued later
         ends after ``now``, so no later op can merge into a dropped time.
         Each call visits only the completions recorded since the previous
         one plus those it kept, so its cost does not grow with the
@@ -658,7 +710,9 @@ class HazardChecker:
             if t > now or t in live:
                 kept.append(t)
             else:
-                del self._completions[t]
+                # a live stream may still list it until the host syncs
+                done = self._completions.pop(t)
+                done.strong = done.weak = None
         self._unretired = kept
 
     def reset_schedule(self, *, drop_dag: bool = False) -> None:

@@ -41,6 +41,49 @@ from .prefetch import PrefetchScheduler
 from .slots import EvictionPolicy
 from .tile_acc import TileAcc
 
+
+def _bad_arg(arg: str, must: str, value: Any) -> TidaError:
+    return TidaError(f"add_array: {arg} must be {must}, got {value!r}")
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_array_args(domain: Any, region_shape: Any, n_regions: Any, axis: Any,
+                      halo: Any, dtype: Any, n_slots: Any) -> None:
+    """Raise a :class:`TidaError` naming the first argument of
+    :meth:`TidaAcc.add_array` of a type numpy would reject with a raw
+    error or ``int()`` would silently truncate.  Ranges (too many regions,
+    an axis out of range) are checked where the values are used."""
+    if isinstance(domain, Box):
+        ndim = domain.ndim
+    elif (isinstance(domain, (tuple, list)) and domain
+          and all(_is_int(n) and n >= 1 for n in domain)):
+        ndim = len(domain)
+    else:
+        raise _bad_arg("domain", "a Box or a non-empty tuple of integers >= 1", domain)
+    if region_shape is not None and not (
+            isinstance(region_shape, (tuple, list)) and all(map(_is_int, region_shape))):
+        raise _bad_arg("region_shape", "None or a tuple of integers", region_shape)
+    for arg, value in (("n_regions", n_regions), ("n_slots", n_slots)):
+        if value is not None and not _is_int(value):
+            raise _bad_arg(arg, "None or an integer", value)
+    if not _is_int(axis):
+        raise _bad_arg("axis", "an integer", axis)
+    if not (halo == "auto" if isinstance(halo, str) else
+            (_is_int(halo) and halo >= 0) or (
+                isinstance(halo, (tuple, list)) and len(halo) == ndim
+                and all(_is_int(h) and h >= 0 for h in halo))):
+        raise _bad_arg("halo", f"an int >= 0, a tuple of {ndim} ints >= 0, or 'auto'", halo)
+    try:
+        kind = np.dtype(dtype).kind
+    except TypeError:
+        kind = None
+    if kind not in ("b", "i", "u", "f", "c"):
+        raise _bad_arg("dtype", "a numeric numpy dtype", dtype)
+
+
 #: The library-chosen OpenACC vector length (§II-A: pragma attributes let
 #: the library control kernel geometry; this is how TiDA-acc's kernels
 #: reach tuned-CUDA efficiency while the naive OpenACC baseline does not).
@@ -161,11 +204,8 @@ class TidaAcc:
         ``eviction`` overrides the library's default eviction policy for
         this field (``"lru"``, ``"lookahead"``, or ``"modulo"``).
         """
+        _check_array_args(domain, region_shape, n_regions, axis, halo, dtype, n_slots)
         if isinstance(halo, str):
-            if halo != "auto":
-                raise TidaError(
-                    f"halo must be an int, a per-axis tuple, or 'auto'; got {halo!r}"
-                )
             if not kernels:
                 raise TidaError(
                     "halo='auto' needs kernels=(KernelSpec, ...) to derive "

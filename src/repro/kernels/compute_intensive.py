@@ -42,10 +42,16 @@ DEFAULT_KERNEL_ITERATION = 48
 #: another thread costs a wake-up and each numpy call a lock hand-off; at
 #: 48 iterations on a shared 2-vCPU x86 host, two blocks of 256 cells ran
 #: at 0.79x one serial pass, of 512 cells 1.02-1.30x, of 1,024 cells
-#: 1.48-1.51x and of 4,096 cells 1.82x.  The floor counts cells, not
-#: iterations: below about 6 iterations two 1,024-cell blocks still lose
-#: (0.45x at one iteration).
+#: 1.48-1.51x and of 4,096 cells 1.82x.
 MIN_BLOCK_CELLS = 1024
+
+#: Fewest cell-iterations (cells x ``kernel_iteration``) a block gets
+#: before a view is split: a short pass cannot repay the hand-off either.
+#: On the same host two 1,024-cell blocks broke even near 6-16 iterations
+#: (0.45x at 1 iteration, 0.69x at 2, 0.82x at 4, 0.99x at 6 in one
+#: measurement; 0.30x, 0.55x, 0.63x, 0.82x, then 0.96x at 8 in a noisier
+#: one) and two 2,048-cell blocks near 4 (0.65x at 1, 1.08x at 4).
+MIN_BLOCK_WORK = 8 * 1024
 
 #: Runs every block but the caller's; created at the first split.
 _pool = None
@@ -63,10 +69,17 @@ def _ci_loop(view: np.ndarray, kernel_iteration: int) -> None:
     """The iteration loop over one block.  Pool threads run this, never
     ``_ci_body``: layerbench's tracer wraps ``_ci_body`` by name and
     keeps one span stack, for the calling thread."""
+    # the serial update s = sin(v); c = cos(v); v += sqrt(s*s + c*c), op
+    # for op, into two scratch arrays the first iteration allocates
+    s = c = None
     for _ in range(kernel_iteration):
-        s = np.sin(view)
-        c = np.cos(view)
-        view += np.sqrt(s * s + c * c)
+        s = np.sin(view, out=s)
+        c = np.cos(view, out=c)
+        np.multiply(s, s, out=s)
+        np.multiply(c, c, out=c)
+        np.add(s, c, out=s)
+        np.sqrt(s, out=s)
+        view += s
 
 
 def _ci_body(
@@ -78,7 +91,7 @@ def _ci_body(
     global _pool
     view = data[tuple(slice(l, h) for l, h in zip(lo, hi))]
     n = int(kernel_iteration)
-    blocks = view.size // MIN_BLOCK_CELLS
+    blocks = min(view.size // MIN_BLOCK_CELLS, view.size * n // MIN_BLOCK_WORK)
     if blocks > 1:
         blocks = min(blocks, view.shape[0], _cpus())
     if blocks < 2:

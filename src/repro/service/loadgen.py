@@ -19,13 +19,25 @@ pins down.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Sequence
 
 import numpy as np
 
 from ..errors import ServiceError
-from .workloads import WORKLOADS
+from .workloads import WORKLOADS, _finite, _integer
+
+
+def _bad_load(what: str, must: str, value: Any) -> ServiceError:
+    return ServiceError(f"{what} must be {must}, got {value!r}", reason="bad-load")
+
+
+def _count(what: str, value: Any) -> int:
+    """``value`` as a count >= 1 (an integer, not a bool)."""
+    if not (_integer(value) and value >= 1):
+        raise _bad_load(what, "an integer >= 1", value)
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -48,6 +60,15 @@ class TrafficPattern:
     burst_gap: float = 1e-5         # gap between arrivals inside one burst
     start: float = 0.0
 
+    def __post_init__(self) -> None:
+        # a burst of 0 would never fill the arrival list; a negative or
+        # NaN gap makes numpy raise or the arrival times NaN
+        _count("TrafficPattern.burst_size", self.burst_size)
+        for name in ("mean_gap", "burst_gap", "start"):
+            v = getattr(self, name)
+            if not (_finite(v) and v >= 0):
+                raise _bad_load(f"TrafficPattern.{name}", "a finite number >= 0", v)
+
 
 class LoadGenerator:
     """Deterministic arrival-pattern generator over a tenant set."""
@@ -61,9 +82,18 @@ class LoadGenerator:
         pattern: TrafficPattern | None = None,
         workload_kwargs: dict[str, dict[str, Any]] | None = None,
     ) -> None:
+        if not (_integer(seed) and seed >= 0):
+            raise _bad_load("LoadGenerator seed", "an integer >= 0", seed)
+        if isinstance(tenants, str) or not all(isinstance(t, str) for t in tenants):
+            raise _bad_load("LoadGenerator tenants", "a sequence of tenant names", tenants)
         if not tenants:
             raise ServiceError("load generator needs at least one tenant",
                                reason="no-tenants")
+        if not isinstance(pattern, (TrafficPattern, type(None))):
+            raise _bad_load("LoadGenerator pattern", "a TrafficPattern", pattern)
+        if isinstance(workloads, str) or not workloads:
+            raise _bad_load("LoadGenerator workloads", "a non-empty sequence of names",
+                            workloads)
         for w in workloads:
             if w not in WORKLOADS:
                 raise ServiceError(
@@ -87,15 +117,17 @@ class LoadGenerator:
         *inside* a burst are a fixed tiny spacing, and each burst stays
         on one tenant (a burst is one tenant's batch).
         """
-        if n_jobs < 1:
-            raise ServiceError(f"need at least one job, got {n_jobs}",
-                               reason="bad-load")
+        n_jobs = _count("arrivals(n_jobs)", n_jobs)
         rng = np.random.default_rng(self.seed)
         p = self.pattern
         out: list[Arrival] = []
         t = p.start
         while len(out) < n_jobs:
             t += float(rng.exponential(p.mean_gap))
+            if not math.isfinite(t + p.burst_size * p.burst_gap):
+                raise _bad_load("TrafficPattern mean_gap, burst_gap and start",
+                                "small enough to keep arrival times finite",
+                                (p.mean_gap, p.burst_gap, p.start))
             tenant = self.tenants[int(rng.integers(len(self.tenants)))]
             for i in range(min(p.burst_size, n_jobs - len(out))):
                 workload = self.workloads[int(rng.integers(len(self.workloads)))]
@@ -129,6 +161,7 @@ class LoadGenerator:
         service's completion hook.  Returns the ids of the first wave
         (later ids appear in the service report).
         """
+        jobs_per_tenant = _count("replay_closed(jobs_per_tenant)", jobs_per_tenant)
         rng = np.random.default_rng(self.seed)
         remaining = {t: jobs_per_tenant - 1 for t in self.tenants}
         ids = []

@@ -61,7 +61,7 @@ from .admission import (
     plan_total_slots,
 )
 from .session import ServiceSession
-from .workloads import KNOB_DEFAULTS, workload_inputs, workload_program
+from .workloads import KNOB_DEFAULTS, check_knobs, workload_inputs, workload_program
 
 #: Default total device-slot budget the partitioner apportions.
 DEFAULT_TOTAL_SLOTS = 32
@@ -315,6 +315,11 @@ class Service:
             raise ServiceError(f"submit(at=...) must be a finite virtual time, "
                                f"got {at!r}", tenant=tenant, reason="bad-submission")
         if workload is not None:
+            if not isinstance(workload_kwargs, (dict, type(None))):
+                raise ServiceError(
+                    f"submit(workload_kwargs=...) must be a dict of knobs, "
+                    f"got {workload_kwargs!r}", tenant=tenant, reason="bad-submission",
+                )
             workload_kwargs = dict(workload_kwargs or {})
             unknown = sorted(set(workload_kwargs) - _WORKLOAD_KNOBS)
             if unknown:
@@ -323,6 +328,7 @@ class Service:
                     f"build_workload takes {sorted(_WORKLOAD_KNOBS)}",
                     tenant=tenant, reason="bad-submission",
                 )
+            check_knobs(workload_kwargs, tenant=tenant)
             # the program alone, to plan and validate; the inputs are
             # built at admission (_try_admit), so a queued job holds no
             # arrays and none is built twice

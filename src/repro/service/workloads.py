@@ -16,6 +16,7 @@ shape the service's cross-job transfer dedup keys on.
 from __future__ import annotations
 
 import inspect
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -82,6 +83,43 @@ KNOB_DEFAULTS = {
     p.name: p.default for p in inspect.signature(build_workload).parameters.values()
     if p.default is not inspect.Parameter.empty
 }
+
+
+def _integer(v: Any) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _finite(v: Any) -> bool:
+    return (isinstance(v, (int, float, np.integer, np.floating))
+            and not isinstance(v, bool) and math.isfinite(v))
+
+
+#: knob -> (test a value must pass, what the error says it must be).
+#: ``kernel_iteration`` is checked by ``compute_intensive_kernel``.
+_KNOB_RULES = {
+    "shape": (lambda v: isinstance(v, (tuple, list)) and len(v) > 0
+              and all(_integer(n) and n >= 1 for n in v),
+              "a non-empty tuple of integers >= 1"),
+    "steps": (lambda v: _integer(v) and v >= 0, "an integer >= 0"),
+    "seed": (lambda v: v is None or (_integer(v) and v >= 0),
+             "None or an integer >= 0"),
+    "kappa_seed": (lambda v: _integer(v) and v >= 0, "an integer >= 0"),
+    "coef": (_finite, "a finite number"),
+    "c2": (_finite, "a finite number"),
+}
+
+
+def check_knobs(knobs: dict[str, Any], *, tenant: str | None = None) -> None:
+    """Raise :class:`ServiceError` naming the first knob whose value
+    :func:`build_workload` would truncate, reject with a raw numpy error,
+    or turn into NaN fields (unknown knob names are the caller's check)."""
+    for name, value in knobs.items():
+        rule = _KNOB_RULES.get(name)
+        if rule is not None and not rule[0](value):
+            raise ServiceError(
+                f"workload knob {name!r} must be {rule[1]}, got {value!r}",
+                tenant=tenant, reason="bad-submission",
+            )
 
 
 def workload_program(name: str, **knobs: Any) -> Program:

@@ -473,7 +473,8 @@ def _stored_pairs(checker):
     for key, st in checker._streams.items():
         yield f"stream {key}", st.strong, st.weak
     for t, done in checker._completions.items():
-        yield f"completion {t!r}", done.strong, done.weak
+        if done.strong is not None:  # None: the host synchronized past it
+            yield f"completion {t!r}", done.strong, done.weak
     for ev, (strong, weak, _op) in checker._events.items():
         yield f"event {ev}", strong, weak
 
@@ -548,9 +549,13 @@ class TestCheckerCost:
     """A host-speed-free cost guard: clock joins plus copies per recorded
     op on a fixed 4-step limited-memory heat run.  Each op joins each
     distinct source clock once and skips the sources its stream absorbed
-    at its previous op; the count is pinned, so a change that adds clock
-    work shows here.  (Joining every source, and the weak clock with the
-    strong one, took 1,473 joins and 88 copies: 9.4 joins per op.)"""
+    at its previous op and the completions the host synchronized past;
+    the count is pinned, so a change that adds clock work shows here.
+    A clock built from k sources by ``VectorClock.joined`` counts k - 1
+    joins, and one copy when k is 1.  (Joining every source, and the
+    weak clock with the strong one, took 1,473 joins and 88 copies: 9.4
+    joins per op; joining each distinct source once, by identity, into a
+    copy of the first, 626 joins and 372 copies.)"""
 
     def test_joins_and_copies_per_op(self, monkeypatch):
         from repro.baselines.tida_runners import run_tida_heat
@@ -568,8 +573,16 @@ class TestCheckerCost:
 
         counted("join")
         counted("copy")
+        joined = vclock.VectorClock.joined
+
+        def counted_joined(clocks, epochs=()):
+            clocks = list(clocks)
+            counts["join"] += len(clocks) - 1
+            counts["copy"] += len(clocks) == 1
+            return joined(clocks, epochs)
+        monkeypatch.setattr(vclock.VectorClock, "joined", staticmethod(counted_joined))
         res = run_tida_heat(shape=(48, 24, 24), steps=4, n_regions=8, n_slots=3,
                             device_memory_limit=310_000, check="observe",
                             mode="timing")
         assert len(res.dag) == 157
-        assert counts == {"join": 626, "copy": 372}
+        assert counts == {"join": 530, "copy": 16}

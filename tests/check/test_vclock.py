@@ -133,6 +133,15 @@ class DictClock:
                     c[tid] = tick
         return self
 
+    @classmethod
+    def joined(cls, clocks, epochs=()):
+        out = cls()
+        for c in clocks:
+            out.join(c)
+        for tid, tick in epochs:
+            out.set(tid, tick)
+        return out
+
     def covers(self, tid, tick):
         return self._c.get(tid, 0) >= tick
 
@@ -211,6 +220,29 @@ class TestDenseMatchesDict:
                 assert len(d) == len(r)
             i, j = len(dense) - 1, len(dense) // 2
             assert (dense[i] == dense[j]) == (ref[i] == ref[j])
+
+
+class TestJoinedMatchesDict:
+    """``VectorClock.joined`` (one new array, ticks written by index)
+    against joining dict clocks into an empty one and setting the ticks."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.dictionaries(st.integers(0, 12), st.integers(0, 40), max_size=6),
+                    min_size=1, max_size=5),
+           st.lists(st.tuples(st.integers(0, 14), st.integers(-1, 60)), max_size=3))
+    def test_random_joins_agree(self, inits, epochs):
+        tids = [next(_fresh) for _ in range(15)]
+        dense = [VectorClock({tids[k]: t for k, t in init.items()}) for init in inits]
+        ref = [DictClock({tids[k]: t for k, t in init.items() if t > 0}) for init in inits]
+        before = [d.copy() for d in dense]
+        ep = [(tids[k], tick) for k, tick in epochs]
+        got = VectorClock.joined(dense, ep)
+        want = DictClock.joined(ref, ep)
+        assert [got.get(t) for t in tids] == [want.get(t) for t in tids]
+        assert all(type(got.get(t)) is int for t in tids)
+        # the sources are untouched and share no array with the result
+        assert dense == before
+        assert all(got._a is not d._a for d in dense)
 
 
 @dataclass

@@ -4,7 +4,7 @@ same errors as one serial pass, and nothing traced off the calling thread.
 ``_ci_body`` runs contiguous row blocks of its view in parallel threads.
 Every test here compares it with the serial loop below, kept verbatim
 from before the split.  The block count is forced through the module's
-CPU count and block floor; the tests that leave both alone take the
+CPU count and block floors (cells, and cells x iterations); the tests that leave both alone take the
 one-CPU path when the process is pinned to one CPU (``taskset -c 0``).
 """
 
@@ -81,6 +81,7 @@ class TestSameBytes:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ci, "_cpus", lambda: cpus)
             mp.setattr(ci, "MIN_BLOCK_CELLS", 1)  # split every multi-row view
+            mp.setattr(ci, "MIN_BLOCK_WORK", 1)
             ci._ci_body(data, lo, hi, kernel_iteration)
         assert data.tobytes() == want.tobytes()
 
@@ -95,25 +96,31 @@ class TestSameBytes:
         assert data.tobytes() == want.tobytes()
         cells = 8 * 32 * 32
         assert len(blocks_log) == max(1, min(ci._cpus(), 8,
-                                             cells // ci.MIN_BLOCK_CELLS))
+                                             cells // ci.MIN_BLOCK_CELLS,
+                                             cells * 5 // ci.MIN_BLOCK_WORK))
 
 
 class TestBlockCount:
-    @pytest.mark.parametrize("shape, cpus, blocks", [
-        ((4, 32, 32), 2, 2),       # a compute-resident region
-        ((4, 31, 33), 2, 2),       # its smallest cross-section, 4,092 cells
-        ((32, 16, 16), 2, 2),      # a service-mix job
-        ((2, 512), 2, 1),          # two 512-cell blocks: below the floor
-        ((1, 8192), 8, 1),         # one row
-        ((8, 32, 32), 16, 8),      # rows bound it
-        ((8, 32, 32), 1, 1),       # one CPU: the serial loop
-        ((3, 1024), 16, 3),        # three rows, three blocks
+    @pytest.mark.parametrize("shape, cpus, iterations, blocks", [
+        ((4, 32, 32), 2, 48, 2),   # a compute-resident region
+        ((4, 31, 33), 2, 48, 2),   # its smallest cross-section, 4,092 cells
+        ((32, 16, 16), 2, 64, 2),  # a service-mix job
+        ((2, 512), 2, 48, 1),      # two 512-cell blocks: below the floor
+        ((1, 8192), 8, 48, 1),     # one row
+        ((8, 32, 32), 16, 48, 8),  # rows bound it
+        ((8, 32, 32), 1, 48, 1),   # one CPU: the serial loop
+        ((3, 1024), 16, 48, 3),    # three rows, three blocks
+        ((2, 1024), 2, 1, 1),      # 2,048 cells, one iteration: too little work
+        ((2, 1024), 2, 7, 1),      # still below the work floor
+        ((2, 1024), 2, 8, 2),      # at it
+        ((4, 1024), 2, 4, 2),      # 4,096 cells break even sooner
+        ((8, 32, 32), 16, 2, 2),   # the work floor binds before the rows
     ])
     def test_smallest_of_cpus_rows_and_floor(self, monkeypatch, blocks_log,
-                                             shape, cpus, blocks):
+                                             shape, cpus, iterations, blocks):
         monkeypatch.setattr(ci, "_cpus", lambda: cpus)
         data = np.random.default_rng(1).random(shape)
-        ci._ci_body(data, (0,) * len(shape), shape, 2)
+        ci._ci_body(data, (0,) * len(shape), shape, iterations)
         assert len(blocks_log) == blocks
         assert sum(s[0] for _, s in blocks_log) == shape[0]
         # the caller runs one block, pool threads the rest
@@ -124,6 +131,7 @@ class TestErrorPaths:
     @pytest.fixture(autouse=True)
     def two_blocks(self, monkeypatch):
         monkeypatch.setattr(ci, "_cpus", lambda: 2)
+        monkeypatch.setattr(ci, "MIN_BLOCK_WORK", 1)  # split at 2-3 iterations
 
     def test_errstate_reaches_worker_block(self):
         """np.errstate is a context variable: a worker block that did not
@@ -194,11 +202,12 @@ class TestTracerSafety:
         lib = TidaAcc(functional=True, check=False)
         lib.add_array("data", init.shape, n_regions=4, halo=0)
         lib.field("data").from_global(init)
-        kernel = ci.compute_intensive_kernel(3)  # built after wrapping
+        # 4 iterations: enough work per 4,096-cell region to split
+        kernel = ci.compute_intensive_kernel(4)  # built after wrapping
         for _ in range(2):
             it = lib.iterator("data").reset(gpu=True)
             while it.is_valid():
-                lib.compute(it, kernel, params={"kernel_iteration": 3})
+                lib.compute(it, kernel, params={"kernel_iteration": 4})
                 it.next()
         out = lib.gather("data")
         lib.synchronize()
@@ -208,5 +217,5 @@ class TestTracerSafety:
         assert {t for t, _ in blocks_log} - {me}, "the split never engaged"
         want = init.copy()
         for _ in range(2):
-            serial_ci(want, (0, 0, 0), want.shape, 3)
+            serial_ci(want, (0, 0, 0), want.shape, 4)
         assert out.tobytes() == want.tobytes()

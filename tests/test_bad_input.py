@@ -1,0 +1,316 @@
+"""Bad input at three public entry points is a typed error naming the
+argument, never a raw numpy error, a silent truncation, a NaN or a hang.
+
+``TidaAcc.add_array`` raises a ``TidaError`` (or the decomposition's and
+slot manager's own ``ReproError`` for ranges), ``Service.submit`` a
+``ServiceError`` naming the workload knob, and ``LoadGenerator`` /
+``TrafficPattern`` a ``ServiceError`` naming the field.  The regression
+tests pin each defect; the hypothesis suites throw mixed valid and
+invalid values at each entry point, run every call in a daemon thread
+with a time limit, and require that it either returns (a submitted job
+then runs to a result) or raises a ``ReproError`` naming an argument.
+"""
+
+from __future__ import annotations
+
+import math
+import threading
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, event, given, settings, strategies as st
+
+from repro import TidaAcc
+from repro.errors import ReproError, ServiceError, TidaError
+from repro.service import LoadGenerator, Service, TrafficPattern
+from repro.service.workloads import WORKLOADS
+
+#: Seconds a single call may take before it counts as a hang.
+TIME_LIMIT = 20.0
+
+
+def within_limit(call):
+    """Run ``call`` in a daemon thread; (returned value, raised error).
+    A call still running after ``TIME_LIMIT`` fails the test (the thread
+    is a daemon, so a hung call cannot keep the test process alive)."""
+    out: list = []
+
+    def run():
+        try:
+            out.append((call(), None))
+        except Exception as exc:  # noqa: BLE001 - the caller asserts on it
+            out.append((None, exc))
+
+    t = threading.Thread(target=run, daemon=True)
+    t.start()
+    t.join(TIME_LIMIT)
+    assert not t.is_alive(), "the call did not return within the time limit"
+    return out[0]
+
+
+def assert_names(exc, names):
+    """``exc`` is a ReproError whose message names one of ``names``."""
+    assert isinstance(exc, ReproError), f"raw {type(exc).__name__}: {exc}"
+    assert any(n in str(exc) for n in names), str(exc)
+
+
+# -- TidaAcc.add_array ------------------------------------------------------
+
+
+def add_array(**kwargs):
+    lib = TidaAcc(mode="timing")
+    kwargs.setdefault("domain", (8, 8))
+    if "region_shape" not in kwargs:
+        kwargs.setdefault("n_regions", 2)
+    return lib.add_array("u", **kwargs)
+
+
+class TestAddArrayArguments:
+    @pytest.mark.parametrize("arg, value", [
+        ("dtype", "float33"),      # was a raw TypeError
+        ("n_regions", 2.7),        # was a raw TypeError
+        ("domain", (8.9, 8)),      # was truncated to (8, 8)
+        ("n_slots", 2.5),          # was truncated, or a raw TypeError
+        ("domain", "88"),          # was a 1-D domain of (8, 8)?
+        ("halo", 1.5),
+        ("axis", 0.5),
+        ("region_shape", (3.5, 8)),
+    ])
+    def test_bad_argument_is_a_tida_error_naming_it(self, arg, value):
+        with pytest.raises(TidaError, match=arg):
+            add_array(**{arg: value})
+
+    def test_integer_like_values_still_work(self):
+        ta = add_array(domain=(np.int64(8), 8), n_regions=np.int32(2),
+                       n_slots=np.int64(1), dtype="float32")
+        assert ta.domain.shape == (8, 8)
+
+
+_ADD_ARRAY_NAMES = ("domain", "region_shape", "n_regions", "regions", "axis",
+                    "halo", "ghost", "dtype", "n_slots", "slot", "extent")
+
+_junk = st.one_of(st.none(), st.booleans(), st.floats(allow_nan=True),
+                  st.text(max_size=3), st.just(()), st.just([1.5]))
+
+
+@st.composite
+def add_array_calls(draw):
+    """Valid-typed arguments (ranges may still be wrong), at most one of
+    them replaced by junk."""
+    ndim = draw(st.integers(1, 3))
+    kw = {"domain": draw(st.tuples(*[st.integers(1, 12)] * ndim))}
+    if draw(st.booleans()):
+        kw["n_regions"] = draw(st.integers(-1, 14))
+    else:
+        kw["region_shape"] = draw(st.tuples(*[st.integers(0, 12)] * ndim))
+    for arg, good in (("n_slots", st.integers(-1, 6)), ("axis", st.integers(-1, 3)),
+                      ("halo", st.integers(-1, 2)),
+                      ("dtype", st.sampled_from(["float64", "float32", "int32"]))):
+        if draw(st.booleans()):
+            kw[arg] = draw(good)
+    bad = draw(st.sampled_from([None, *kw]))
+    if bad is not None:
+        kw[bad] = draw(st.one_of(_junk, st.lists(st.floats(0, 12), min_size=1,
+                                                 max_size=3).map(tuple)))
+    return kw
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(add_array_calls())
+def test_add_array_returns_or_names_the_argument(kwargs):
+    def call():
+        return TidaAcc(mode="timing").add_array("u", **kwargs)
+
+    value, exc = within_limit(call)
+    event("rejected" if exc is not None else "added")
+    if exc is not None:
+        assert_names(exc, _ADD_ARRAY_NAMES)
+
+
+# -- Service.submit(workload_kwargs=...) ---------------------------------------
+
+
+def _service():
+    svc = Service(total_slots=16)
+    svc.add_tenant("a", 1.0)
+    svc.add_tenant("b", 1.0)
+    return svc
+
+
+SMALL = {"shape": (8, 8, 8), "steps": 1}
+
+
+class TestSubmitKnobValues:
+    @pytest.mark.parametrize("workload, knob, value", [
+        ("heat", "seed", -1),             # numpy ValueError at admission
+        ("heat", "seed", "x"),            # numpy TypeError at admission
+        ("coeff-heat", "kappa_seed", -3),  # numpy ValueError at admission
+        ("heat", "coef", float("nan")),   # ran to NaN fields
+        ("wave", "c2", float("inf")),     # ran to NaN fields
+        ("heat", "steps", 2.5),           # ran 2 steps
+        ("heat", "shape", (32.7, 16, 16)),  # ran a 32-row domain
+    ])
+    def test_bad_value_is_a_service_error_naming_the_knob(self, workload, knob, value):
+        svc = _service()
+        with pytest.raises(ServiceError, match=knob) as info:
+            svc.submit("b", workload=workload,
+                       workload_kwargs={**SMALL, knob: value})
+        assert info.value.tenant == "b"
+        assert info.value.reason == "bad-submission"
+
+    def test_co_tenant_job_still_runs(self):
+        svc = _service()
+        good = svc.submit("a", workload="heat", workload_kwargs=dict(SMALL, seed=1))
+        with pytest.raises(ServiceError, match="seed"):
+            svc.submit("b", workload="heat", workload_kwargs=dict(SMALL, seed=-1))
+        report = svc.run()
+        svc.close()
+        assert list(report.jobs) == [good]
+
+    def test_numpy_integers_and_lists_pass(self):
+        svc = _service()
+        job = svc.submit("a", workload="coeff-heat", workload_kwargs={
+            "shape": [np.int64(8), 8, 8], "steps": np.int32(1),
+            "seed": np.uint8(3), "kappa_seed": np.int64(7), "coef": np.float32(0.1)})
+        report = svc.run()
+        svc.close()
+        assert report.jobs[job].iterations == 1
+
+
+_KNOBS = {
+    "shape": st.lists(st.integers(1, 6), min_size=1, max_size=3).map(tuple),
+    "steps": st.integers(0, 2),
+    "seed": st.one_of(st.none(), st.integers(0, 2**40)),
+    "kappa_seed": st.integers(0, 100),
+    "coef": st.floats(-1, 1),
+    "c2": st.floats(-1, 1),
+    "kernel_iteration": st.integers(1, 3),
+}
+
+_bad_knob = st.one_of(
+    st.none(), st.booleans(), st.integers(-5, -1), st.floats(allow_nan=True),
+    st.text(max_size=3), st.just(()), st.just((4.5, 4)), st.just((0, 4)))
+
+
+@st.composite
+def submissions(draw):
+    """Valid knobs, at most one of them replaced by junk."""
+    knobs = {name: draw(good) for name, good in _KNOBS.items() if draw(st.booleans())}
+    bad = draw(st.sampled_from([None, *_KNOBS]))
+    if bad is not None:
+        knobs[bad] = draw(_bad_knob)
+    return draw(st.sampled_from(WORKLOADS)), knobs
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(submissions())
+def test_submit_returns_or_names_the_knob(case):
+    workload, knobs = case
+
+    def call():
+        svc = _service()
+        try:
+            job = svc.submit("a", workload=workload, workload_kwargs=knobs)
+        except ReproError as exc:
+            return exc
+        report = svc.run()
+        svc.close()
+        return report.jobs[job]
+
+    value, exc = within_limit(call)
+    assert exc is None, f"raw {type(exc).__name__}: {exc}"
+    if isinstance(value, ReproError):
+        event("rejected at submit")
+        assert_names(value, tuple(_KNOBS))
+    else:
+        event("ran")
+        assert value.digests and value.finished >= value.admitted
+        assert math.isfinite(value.latency)
+
+
+# -- LoadGenerator and TrafficPattern -------------------------------------------
+
+
+class TestLoadGeneratorInput:
+    def test_zero_burst_size_does_not_hang(self):
+        value, exc = within_limit(
+            lambda: LoadGenerator(0, ["a"], pattern=TrafficPattern(burst_size=0))
+            .arrivals(3))
+        assert isinstance(exc, ServiceError) and "burst_size" in str(exc)
+
+    @pytest.mark.parametrize("field, value", [
+        ("mean_gap", -1.0),             # numpy ValueError
+        ("mean_gap", float("nan")),     # NaN arrival times
+        ("burst_gap", float("inf")),
+        ("start", float("nan")),
+        ("burst_size", 1.5),
+    ])
+    def test_bad_pattern_field_is_a_service_error_naming_it(self, field, value):
+        with pytest.raises(ServiceError, match=field):
+            TrafficPattern(**{field: value})
+
+    def test_overflowing_gap_is_not_an_infinite_arrival(self):
+        gen = LoadGenerator(0, ["a"], pattern=TrafficPattern(mean_gap=1e307))
+        with pytest.raises(ServiceError, match="mean_gap"):
+            gen.arrivals(30)
+
+    @pytest.mark.parametrize("n_jobs", [2.5, 0, "3", True])
+    def test_bad_job_count(self, n_jobs):
+        with pytest.raises(ServiceError, match="n_jobs"):
+            LoadGenerator(0, ["a"]).arrivals(n_jobs)
+
+    @pytest.mark.parametrize("seed", [-1, 2.5, "7"])
+    def test_bad_seed(self, seed):
+        with pytest.raises(ServiceError, match="seed"):
+            LoadGenerator(seed, ["a"])
+
+
+_LOADGEN_NAMES = ("seed", "tenant", "pattern", "mean_gap", "burst_size", "burst_gap",
+                  "start", "n_jobs", "workload")
+
+_num_junk = st.one_of(st.none(), st.booleans(), st.floats(allow_nan=True),
+                      st.integers(-3, -1), st.text(max_size=2))
+
+
+@st.composite
+def load_calls(draw):
+    """Valid arguments, at most one of them replaced by junk."""
+    kw = {
+        "seed": draw(st.integers(0, 2**40)),
+        "tenants": draw(st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=3)),
+        "workloads": ("heat", "compute"),
+        "n_jobs": draw(st.integers(1, 40)),
+        "mean_gap": draw(st.floats(0, 1e-2)),
+        "burst_size": draw(st.integers(1, 4)),
+        "burst_gap": draw(st.floats(0, 1e-4)),
+        "start": draw(st.floats(0, 1.0)),
+    }
+    bad = draw(st.sampled_from([None, *kw]))
+    if bad == "tenants":
+        kw[bad] = draw(st.sampled_from([[], "ab", [1, "a"]]))
+    elif bad == "workloads":
+        kw[bad] = draw(st.sampled_from([("nope",), (), "heat"]))
+    elif bad is not None:
+        kw[bad] = draw(_num_junk)
+    return kw
+
+
+@settings(max_examples=200, deadline=None)
+@given(load_calls())
+def test_load_generator_returns_or_names_the_field(kw):
+    def call():
+        pattern = TrafficPattern(**{f: kw[f] for f in
+                                    ("mean_gap", "burst_size", "burst_gap", "start")})
+        gen = LoadGenerator(kw["seed"], kw["tenants"], workloads=kw["workloads"],
+                            pattern=pattern)
+        return gen.arrivals(kw["n_jobs"])
+
+    value, exc = within_limit(call)
+    event("rejected" if exc is not None else "generated")
+    if exc is not None:
+        assert_names(exc, _LOADGEN_NAMES)
+    else:
+        assert len(value) == kw["n_jobs"]
+        assert all(math.isfinite(a.t) and a.t >= kw["start"] for a in value)
