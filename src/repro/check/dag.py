@@ -34,6 +34,7 @@ work.  A replay reconstructs issue times as
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import cache
 from operator import attrgetter
 from typing import Any, Callable, Iterable, Sequence
 
@@ -103,8 +104,19 @@ class DagNode:
  _set_host_gap, _set_cost) = (vars(DagNode)[f.name].__set__ for f in fields(DagNode))
 
 
+def _listed(pairs: tuple[tuple[Any, ...], ...]) -> list[list[Any]]:
+    return list(map(list, pairs))
+
+
 def dag_to_json(nodes: Iterable[DagNode]) -> list[dict[str, Any]]:
-    """Plain-dict rows for a run manifest's ``"dag"`` key."""
+    """Plain-dict rows for a run manifest's ``"dag"`` key.
+
+    Rows with equal ``streams`` (or ``engines``) share one list: a run
+    has a few distinct values and thousands of rows.  Treat the rows as
+    read-only.
+    """
+    streams = cache(_listed)
+    engines = cache(list)
     return [
         {
             "op": n.op_id,
@@ -114,8 +126,8 @@ def dag_to_json(nodes: Iterable[DagNode]) -> list[dict[str, Any]]:
             "end": n.end,
             "issue": n.issue,
             "nbytes": n.nbytes,
-            "streams": list(map(list, n.streams)),
-            "engines": list(n.engines),
+            "streams": streams(n.streams),
+            "engines": engines(n.engines),
             "deps": list(map(list, n.deps)),
             "host_dep": n.host_dep,
             "host_gap": n.host_gap,
@@ -128,15 +140,20 @@ def dag_to_json(nodes: Iterable[DagNode]) -> list[dict[str, Any]]:
 def dag_from_json(rows: Sequence[dict[str, Any]]) -> list[DagNode]:
     """Rebuild :func:`dag_to_json` output (tolerates missing optionals).
 
-    Raises :class:`~repro.errors.DagFormatError` naming the first row
-    that cannot be converted and its field.
+    Every node with equal ``streams`` (or ``engines``) gets the same
+    tuple.  Raises :class:`~repro.errors.DagFormatError` naming the first
+    row that cannot be converted and its field.
     """
     nodes: list[DagNode] = []
     append = nodes.append
+    shared: dict[tuple, tuple] = {}
+    share = shared.setdefault
     try:
         for r in rows:
             host_dep = r.get("host_dep")
             cost = r.get("cost")
+            streams = tuple([(int(a), int(b)) for a, b in r.get("streams", ())])
+            engines = tuple(map(str, r.get("engines", ())))
             append(DagNode(
                 int(r["op"]),
                 str(r.get("kind", "?")),
@@ -145,8 +162,8 @@ def dag_from_json(rows: Sequence[dict[str, Any]]) -> list[DagNode]:
                 float(r["end"]),
                 float(r.get("issue", r["start"])),
                 int(r.get("nbytes", 0)),
-                tuple([(int(a), int(b)) for a, b in r.get("streams", ())]),
-                tuple(map(str, r.get("engines", ()))),
+                share(streams, streams),
+                share(engines, engines),
                 tuple([(int(d), str(k)) for d, k in r.get("deps", ())]),
                 None if host_dep is None else int(host_dep),
                 float(r.get("host_gap", 0.0)),

@@ -19,6 +19,7 @@ transfers, or directives — the §V contract:
 from __future__ import annotations
 
 import contextlib
+import math
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -51,7 +52,7 @@ def _is_int(value: Any) -> bool:
 
 
 def _check_array_args(domain: Any, region_shape: Any, n_regions: Any, axis: Any,
-                      halo: Any, dtype: Any, n_slots: Any) -> None:
+                      halo: Any, dtype: Any, fill: Any, n_slots: Any) -> None:
     """Raise a :class:`TidaError` naming the first argument of
     :meth:`TidaAcc.add_array` of a type numpy would reject with a raw
     error or ``int()`` would silently truncate.  Ranges (too many regions,
@@ -82,6 +83,11 @@ def _check_array_args(domain: Any, region_shape: Any, n_regions: Any, axis: Any,
         kind = None
     if kind not in ("b", "i", "u", "f", "c"):
         raise _bad_arg("dtype", "a numeric numpy dtype", dtype)
+    # checked in every mode: a timing-mode field allocates no values, so
+    # a bad fill would otherwise pass there and fail only in functional
+    if fill is not None and not (
+            _is_int(fill) or (isinstance(fill, (float, np.floating)) and math.isfinite(fill))):
+        raise _bad_arg("fill", "None or a finite real number", fill)
 
 
 #: The library-chosen OpenACC vector length (§II-A: pragma attributes let
@@ -111,6 +117,10 @@ class TidaAcc:
         telemetry=None,
         label_prefix: str = "",
     ) -> None:
+        #: a library that made its runtime retires the checker's completion
+        #: records at each swap; on a shared runtime the owner does (the
+        #: service, from every job's managers)
+        self._owns_runtime = runtime is None
         if runtime is None:
             runtime = CudaRuntime(
                 machine, functional=functional, mode=mode,
@@ -151,6 +161,9 @@ class TidaAcc:
         #: fields borrowed from (or lent to) another library on the same
         #: runtime — cross-job read-only dedup; ``close()`` leaves them alone
         self._shared: set[str] = set()
+        # op labels by (kind, kernel, field, region); the trace and the
+        # DAG keep one per op, so ops with equal labels share one string
+        self._labels: dict[tuple[str, str, str, int], str] = {}
 
     @property
     def mode(self) -> str:
@@ -204,7 +217,7 @@ class TidaAcc:
         ``eviction`` overrides the library's default eviction policy for
         this field (``"lru"``, ``"lookahead"``, or ``"modulo"``).
         """
-        _check_array_args(domain, region_shape, n_regions, axis, halo, dtype, n_slots)
+        _check_array_args(domain, region_shape, n_regions, axis, halo, dtype, fill, n_slots)
         if isinstance(halo, str):
             if not kernels:
                 raise TidaError(
@@ -377,6 +390,16 @@ class TidaAcc:
         self.runtime.notify_incident("fault", err)
         raise err from last
 
+    def _op_label(self, kind: str, name: str, field: str, rid: int) -> str:
+        """``kind:name:<field>.r<rid>`` (``kind:name:r<rid>`` without a
+        field), built once: every op with the label shares one string."""
+        key = (kind, name, field, rid)
+        label = self._labels.get(key)
+        if label is None:
+            where = f"{self.label_prefix}{field}." if field else ""
+            label = self._labels[key] = f"{kind}:{name}:{where}r{rid}"
+        return label
+
     # -- the compute method (§V) ---------------------------------------------------
 
     @staticmethod
@@ -474,6 +497,7 @@ class TidaAcc:
             # each component to an ordering edge (see device_ready_deps)
             ready.extend(mgr.device_ready_deps(rid))
         qid = managers[0].queue_id_for(rid)
+        label = self._op_label("compute", kernel.name, names[0], rid)
         end = self._launch_with_retry(
             kernel.name, rid,
             lambda: self.acc.parallel_loop(
@@ -486,7 +510,7 @@ class TidaAcc:
                 vector_length=self.vector_length,
                 after=tuple(ready),
                 params={"lo": lo, "hi": hi, **params},
-                label=f"compute:{kernel.name}:{self.label_prefix}{names[0]}.r{rid}",
+                label=label,
             ),
         )
         for mgr in managers:
@@ -642,6 +666,7 @@ class TidaAcc:
             region = first.region(rid)
             lo, hi = region.local_bounds(region.box)
             qid = managers[0].queue_id_for(rid)
+            label = self._op_label("reduce", spec.name, "", rid)
             end = self._launch_with_retry(
                 spec.name, rid,
                 lambda: self.acc.parallel_loop(
@@ -654,7 +679,7 @@ class TidaAcc:
                     vector_length=self.vector_length,
                     after=tuple(ready),
                     params={"lo": lo, "hi": hi},
-                    label=f"reduce:{spec.name}:r{rid}",
+                    label=label,
                 ),
             )
             for mgr in managers:
@@ -717,6 +742,15 @@ class TidaAcc:
         )
         self._names_by_array[id(ta_a)] = name_b
         self._names_by_array[id(ta_b)] = name_a
+        checker = self.runtime.checker
+        if self._owns_runtime and checker is not None:
+            # every after= this library issues comes from its managers (or
+            # from a kernel of the same call): a completion time none of
+            # them can name again can go
+            live: set[float] = set()
+            for mgr in self._managers.values():
+                live.update(mgr.live_after_times())
+            checker.retire_streams(self.runtime._runtime_id, (), now=self.now, live=live)
 
     def synchronize(self) -> float:
         """Drain all device work (``acc wait`` over every queue)."""

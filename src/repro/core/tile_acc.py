@@ -142,6 +142,10 @@ class TileAcc:
         self.h2d_count = 0
         self.d2h_count = 0
         self._last_flush_end = 0.0
+        # each region's op labels, built once: every op of a kind on a
+        # region shares one string (the trace and the DAG keep one per op)
+        self._labels = {op: [f"{op}:{r.label}" for r in tile_array.regions]
+                        for op in ("h2d", "prefetch", "evict", "d2h")}
         # -- observability: per-field cache accounting ---------------------
         self._obs_field = tile_array.label or f"field@{id(tile_array):x}"
         m = runtime.metrics
@@ -296,7 +300,7 @@ class TileAcc:
                 region = self.tile_array.region(old)
                 wb_end = self.runtime.memcpy_async(
                     region.data, slot.buffer, self._wb_stream,
-                    after=self._ready_after(old), label=f"evict:{region.label}",
+                    after=self._ready_after(old), label=self._labels["evict"][old],
                 )
                 self._slot_after[slot.index] = (wb_end,)
                 self.d2h_count += 1
@@ -564,7 +568,7 @@ class TileAcc:
         self._mark("cache-miss", rid, slot, occupant=slot.bound)
         end = self._with_retry(
             "h2d", rid,
-            lambda: self._upload(slot, rid, region, label=f"h2d:{region.label}"),
+            lambda: self._upload(slot, rid, region, label=self._labels["h2d"][rid]),
         )
         return slot.buffer, end
 
@@ -589,7 +593,8 @@ class TileAcc:
         self._mark("cache-prefetch", rid, slot, occupant=slot.bound)
         end = self._with_retry(
             "h2d", rid,
-            lambda: self._upload(slot, rid, region, label=f"prefetch:{region.label}"),
+            lambda: self._upload(slot, rid, region,
+                                 label=self._labels["prefetch"][rid]),
         )
         self._m_pf_issued.inc()
         self._inflight[rid] = end
@@ -636,7 +641,7 @@ class TileAcc:
                 # FIFO alone would let the download race that write
                 end = self.runtime.memcpy_async(
                     region.data, slot.buffer, slot.stream,
-                    after=self._ready_after(rid), label=f"d2h:{region.label}",
+                    after=self._ready_after(rid), label=self._labels["d2h"][rid],
                 )
                 self.d2h_count += 1
                 if sync:

@@ -92,9 +92,17 @@ class FaultRule:
             raise FaultPlanError(f"p must be in [0, 1], got {self.p}")
         if self.nth is not None and self.p is not None:
             raise FaultPlanError("nth and p are mutually exclusive")
+        # a NaN window never opens and an infinite hang stalls the clock:
+        # a rule that cannot fire as written is refused here, not mid-run
+        if not math.isfinite(self.after_t):
+            raise FaultPlanError(f"after_t must be finite, got {self.after_t!r}")
+        if math.isnan(self.until_t):
+            raise FaultPlanError(f"until_t must not be NaN, got {self.until_t!r}")
+        if not math.isfinite(self.hang_seconds):
+            raise FaultPlanError(f"hang_seconds must be finite, got {self.hang_seconds!r}")
         if self.until_t <= self.after_t:
             raise FaultPlanError(
-                f"empty time window [{self.after_t}, {self.until_t})"
+                f"empty time window [after_t={self.after_t}, until_t={self.until_t})"
             )
         if self.error is not None and self.error not in ERROR_CLASSES:
             raise FaultPlanError(
@@ -233,8 +241,12 @@ class FaultPlan:
 
         Keys: ``field``, ``nth``, ``p``, ``after``/``until`` (seconds),
         ``error``, ``hang`` (seconds, implies ``kind="hang"``), ``oom``
-        (bytes, implies ``kind="pressure"``), ``max_fires``.
+        (bytes, implies ``kind="pressure"``), ``max_fires``.  Raises
+        :class:`~repro.errors.FaultPlanError` naming what it cannot parse
+        or honour.
         """
+        if not isinstance(spec, str):
+            raise FaultPlanError(f"spec must be a string, got {spec!r}")
         rules: list[FaultRule] = []
         seed = 0
         for clause in spec.split(";"):

@@ -42,6 +42,7 @@ cannot explain.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -241,26 +242,38 @@ class _CompiledDag:
         self.nodes = sorted(nodes, key=_op_id)
         n = len(self.nodes)
         index = {node.op_id: i for i, node in enumerate(self.nodes)}.get
-        #: ordering-edge predecessors, in recorded order (sentinel kept)
-        self.deps: list[tuple[int, ...]] = []
+        #: ordering-edge predecessors, in recorded order (sentinel kept),
+        #: flat: op ``i``'s are ``deps[dep_ends[i - 1]:dep_ends[i]]`` (from
+        #: 0 for the first op), one list and one array instead of a tuple
+        #: per op
+        self.deps: list[int] = []
+        self.dep_ends = array("q")
         #: the op the host last blocked on before each issue
         self.host_deps: list[int] = []
+        extend = self.deps.extend
         for i, node in enumerate(self.nodes):
-            self.deps.append(tuple([
-                j if (j := index(d, n)) < i else n for d, _kind in node.deps
-            ]))
+            extend([j if (j := index(d, n)) < i else n for d, _kind in node.deps])
+            self.dep_ends.append(len(self.deps))
             host = index(node.host_dep, n)
             self.host_deps.append(host if host < i else n)
         self.host_gaps = [node.host_gap for node in self.nodes]
 
     @cached_property
-    def preds(self) -> list[tuple[int, ...]]:
-        """Per op: the predecessors the critical-path walk may step to."""
+    def preds(self) -> tuple[list[int], array]:
+        """The predecessors the critical-path walk may step to, flat like
+        :attr:`deps`: ``(preds, ends)``, op ``i``'s being
+        ``preds[ends[i - 1]:ends[i]]``."""
         n = len(self.nodes)
-        return [
-            tuple([j for j in deps + (host,) if j < n])
-            for deps, host in zip(self.deps, self.host_deps)
-        ]
+        preds: list[int] = []
+        ends = array("q")
+        deps, start = self.deps, 0
+        for end, host in zip(self.dep_ends, self.host_deps):
+            preds.extend([j for j in deps[start:end] if j < n])
+            if host < n:
+                preds.append(host)
+            ends.append(len(preds))
+            start = end
+        return preds, ends
 
     @cached_property
     def categories(self) -> list[str]:
@@ -309,16 +322,18 @@ class _CompiledDag:
         issues = [0.0] * n
         gaps = (self.host_gaps if gap_scale == 1.0
                 else [gap * gap_scale for gap in self.host_gaps])
+        deps = self.deps
         issue = 0.0
-        i = 0
-        for host, gap, deps, dur in zip(self.host_deps, gaps, self.deps, durations):
+        i = first = 0
+        for host, gap, last, dur in zip(self.host_deps, gaps, self.dep_ends, durations):
             host_end = ends[host]
             issue = (host_end if host_end > issue else issue) + gap
             start = issue
-            for j in deps:
+            for j in deps[first:last]:
                 end = ends[j]
                 if end > start:
                     start = end
+            first = last
             starts[i] = start
             issues[i] = issue
             ends[i] = start + dur
@@ -338,10 +353,10 @@ class _CompiledDag:
         """
         last = max(ends)
         cur = len(ends) - 1 - ends[::-1].index(last)   # latest end, then id
-        preds = self.preds
+        preds, pred_ends = self.preds
         out = [cur]
         while True:
-            p = preds[cur]
+            p = preds[pred_ends[cur - 1] if cur else 0:pred_ends[cur]]
             if not p:
                 break
             binding = p[0]

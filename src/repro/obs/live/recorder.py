@@ -170,8 +170,7 @@ class FlightRecorder(TelemetrySubscriber):
         bus = self._bus
         if bus is None or bus.trace is None or not self.trace_tail:
             return []
-        marks = bus.trace.marks[-self.trace_tail:]
-        return [dict(m) for m in marks]
+        return bus.trace.marks_since(-self.trace_tail)
 
     def _dag_tail(self) -> list[dict[str, Any]]:
         bus = self._bus

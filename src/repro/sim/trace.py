@@ -13,6 +13,7 @@ From the trace we derive:
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator
 
@@ -66,12 +67,17 @@ class Trace:
     * **decision marks** (:meth:`mark`) — instant events recording a
       scheduling decision (cache hit, eviction, skipped write-back) with
       structured args, exported as instant events (``ph: "i"``).
+
+    Both are stored flat, once: a counter track as an ``array("d")`` of
+    sample times plus a list of the values as given (ints stay ints), a
+    mark as a ``(name, ts, args)`` tuple.  The readers build their dicts
+    and tuples on read.
     """
 
     def __init__(self) -> None:
         self._events: list[TraceEvent] = []
-        self._counters: dict[str, list[tuple[float, float]]] = {}
-        self._marks: list[dict[str, Any]] = []
+        self._counters: dict[str, tuple[array, list[float]]] = {}
+        self._marks: list[tuple[str, float, dict[str, Any]]] = []
 
     def add(self, event: TraceEvent) -> TraceEvent:
         self._events.append(event)
@@ -106,31 +112,42 @@ class Trace:
         """Append one sample to counter track ``track`` at time ``ts``."""
         if ts < 0:
             raise SimulationError(f"counter sample time must be >= 0, got {ts!r}")
-        self._counters.setdefault(track, []).append((ts, value))
+        samples = self._counters.get(track)
+        if samples is None:
+            samples = self._counters[track] = (array("d"), [])
+        samples[0].append(ts)
+        samples[1].append(value)
 
     def mark(self, name: str, ts: float, **args: Any) -> None:
         """Record an instant decision event (evict/hit/skip) at ``ts``."""
         if ts < 0:
             raise SimulationError(f"mark time must be >= 0, got {ts!r}")
-        self._marks.append({"name": name, "ts": ts, "args": args})
+        self._marks.append((name, ts, args))
 
     @property
     def counter_tracks(self) -> dict[str, list[tuple[float, float]]]:
-        return {track: list(samples) for track, samples in self._counters.items()}
+        """Each track's ``(ts, value)`` samples, in recording order (a
+        fresh dict of fresh lists)."""
+        return {track: list(zip(times, values))
+                for track, (times, values) in self._counters.items()}
 
     @property
     def marks(self) -> tuple[dict[str, Any], ...]:
-        return tuple(self._marks)
+        """Every decision mark as a fresh ``{"name", "ts", "args"}`` dict."""
+        return tuple([{"name": name, "ts": ts, "args": args}
+                      for name, ts, args in self._marks])
 
     def marks_since(self, start: int) -> list[dict[str, Any]]:
-        """Marks recorded at index ``start`` or later (incremental reads).
+        """Marks recorded at index ``start`` or later (incremental reads),
+        as fresh dicts like :attr:`marks`.  A negative ``start`` counts
+        from the end, as in a slice: ``marks_since(-n)`` is the last
+        ``n`` marks.
 
         Lets a periodic sampler consume new marks in O(new) instead of
-        copying the whole mark list via :attr:`marks` every sample.
+        building the whole mark list via :attr:`marks` every sample.
         """
-        if start < 0:
-            start = 0
-        return self._marks[start:]
+        return [{"name": name, "ts": ts, "args": args}
+                for name, ts, args in self._marks[start:]]
 
     @property
     def last_event(self) -> TraceEvent | None:
@@ -280,7 +297,7 @@ class Trace:
             events += [
                 {"name": track, "ph": "C", "ts": round(ts * 1e6, 6), "pid": 0,
                  "args": {"value": value}}
-                for ts, value in self._counters[track]
+                for ts, value in zip(*self._counters[track])
             ]
         # decision marks land on a dedicated pseudo-thread
         if self._marks:
@@ -288,10 +305,10 @@ class Trace:
             append({"name": "thread_name", "ph": "M", "pid": 0, "tid": mark_tid,
                     "args": {"name": "decisions"}})
             events += [
-                {"name": m["name"], "cat": "decision", "ph": "i", "s": "t",
-                 "ts": round(m["ts"] * 1e6, 6), "pid": 0, "tid": mark_tid,
-                 "args": dict(m["args"])}
-                for m in self._marks
+                {"name": name, "cat": "decision", "ph": "i", "s": "t",
+                 "ts": round(ts * 1e6, 6), "pid": 0, "tid": mark_tid,
+                 "args": dict(args)}
+                for name, ts, args in self._marks
             ]
         return events
 

@@ -235,8 +235,9 @@ def test_release_changes_no_artifact(scenario, checkers, monkeypatch):
 def _observed_heat_ooc(steps):
     """The benchmark's heat-ooc episode (64^3, 16 regions, 4 slots per
     field, timing mode, observing checker), simulation only.  Returns
-    the checker, the records holding clocks at the end of each step, and
-    the ops issued after the host's last sync."""
+    the checker, the records holding clocks at the end of each step, the
+    ops issued after the host's last sync, and the ``now`` and ``live``
+    of the last retirement pass (the last swap's)."""
     shape, regions, slots = (64, 64, 64), 16, 4
     slab = math.ceil(shape[0] / regions)
     region_bytes = 8 * (slab + 2) * (shape[1] + 2) * (shape[2] + 2)
@@ -253,6 +254,14 @@ def _observed_heat_ooc(steps):
         return sync(*args)
 
     checker.host_sync_stream = noting_sync
+    last_pass = []
+    retire = checker.retire_streams
+
+    def noting_retire(runtime_id, streams, *, now, live):
+        last_pass[:] = [now, set(live)]
+        return retire(runtime_id, streams, now=now, live=live)
+
+    checker.retire_streams = noting_retire
     kernel, bc, per_step = heat_kernel(3), Neumann(), []
     for _ in range(steps):
         lib.fill_boundary("u_old", bc)
@@ -264,7 +273,7 @@ def _observed_heat_ooc(steps):
         per_step.append(_held(checker))
     lib.manager("u_old").flush_to_host()
     lib.synchronize()
-    return checker, per_step, len(checker.dag) - ops_at_sync[0]
+    return checker, per_step, len(checker.dag) - ops_at_sync[0], last_pass
 
 
 class TestBoundedState:
@@ -274,10 +283,23 @@ class TestBoundedState:
 
     @pytest.mark.parametrize("steps", [40, 160])
     def test_held_clocks_at_most_the_unsynced_ops(self, runs, steps):
-        checker, _, unsynced = runs[steps]
+        checker, _, unsynced, _ = runs[steps]
         assert len(checker.dag) > 75 * steps          # 3,196 ops at 40 steps
-        assert len(checker._completions) > 75 * steps  # every record is kept
         assert _held(checker) <= unsynced
+
+    @pytest.mark.parametrize("steps", [40, 160])
+    def test_records_follow_the_live_schedule(self, runs, steps):
+        """A standalone library retires records at each swap: what is left
+        is the completion times its managers could still name then, plus
+        those that ended after it (3,196 and 12,796 records before)."""
+        checker, _, _, (now, live) = runs[steps]
+        later = [t for t in checker._completions if t > now]
+        assert set(checker._completions) <= live | set(later)
+        assert len(checker._completions) <= len(live) + len(later)
+        assert len(checker._completions) < 100
+
+    def test_records_do_not_grow_with_the_run(self, runs):
+        assert len(runs[40][0]._completions) == len(runs[160][0]._completions)
 
     def test_held_clocks_per_step_do_not_grow_with_the_run(self, runs):
         short, long = runs[40][1], runs[160][1]

@@ -135,11 +135,13 @@ class TestCli:
 
 
 class _RefTrace:
-    """The trace's state plus the ``_us`` quantizer the reference calls."""
+    """The trace's state, in the shapes the reference reads (counter
+    tracks as ``(ts, value)`` lists, marks as dicts), plus the ``_us``
+    quantizer the reference calls."""
 
     def __init__(self, trace):
         self._events, self._counters, self._marks = (
-            trace._events, trace._counters, trace._marks)
+            trace._events, trace.counter_tracks, trace.marks)
         self.lanes = trace.lanes
 
     @staticmethod

@@ -1,10 +1,11 @@
-"""Bad input at three public entry points is a typed error naming the
+"""Bad input at four public entry points is a typed error naming the
 argument, never a raw numpy error, a silent truncation, a NaN or a hang.
 
 ``TidaAcc.add_array`` raises a ``TidaError`` (or the decomposition's and
 slot manager's own ``ReproError`` for ranges), ``Service.submit`` a
-``ServiceError`` naming the workload knob, and ``LoadGenerator`` /
-``TrafficPattern`` a ``ServiceError`` naming the field.  The regression
+``ServiceError`` naming the workload knob, ``LoadGenerator`` /
+``TrafficPattern`` a ``ServiceError`` naming the field, and
+``FaultPlan.from_spec`` a ``FaultPlanError`` naming the key.  The regression
 tests pin each defect; the hypothesis suites throw mixed valid and
 invalid values at each entry point, run every call in a daemon thread
 with a time limit, and require that it either returns (a submitted job
@@ -21,7 +22,8 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings, strategies as st
 
 from repro import TidaAcc
-from repro.errors import ReproError, ServiceError, TidaError
+from repro.errors import FaultPlanError, ReproError, ServiceError, TidaError
+from repro.faults.plan import FaultPlan, FaultRule
 from repro.service import LoadGenerator, Service, TrafficPattern
 from repro.service.workloads import WORKLOADS
 
@@ -85,9 +87,31 @@ class TestAddArrayArguments:
                        n_slots=np.int64(1), dtype="float32")
         assert ta.domain.shape == (8, 8)
 
+    @pytest.mark.parametrize("mode", ["timing", "functional"])
+    @pytest.mark.parametrize("fill", [
+        "x",                       # a raw ValueError in functional mode, silent in timing
+        [1, 2],                    # the same
+        float("nan"),              # a field of NaN in both modes
+        float("inf"),
+        True,
+    ])
+    def test_bad_fill_is_named_in_both_modes(self, mode, fill):
+        lib = TidaAcc(mode=mode)
+        now = lib.now
+        with pytest.raises(TidaError, match="fill"):
+            lib.add_array("u", (8, 8), n_regions=2, fill=fill)
+        # refused before the host allocation (an API call that costs time)
+        assert lib.now == now and not lib.has_field("u")
+
+    @pytest.mark.parametrize("fill", [None, 0, np.int32(3), 2.5, np.float32(-1.5)])
+    def test_finite_real_fill_still_works(self, fill):
+        lib = TidaAcc(mode="functional")
+        ta = lib.add_array("u", (8, 8), n_regions=2, fill=fill)
+        assert np.all(ta.to_global() == (0.0 if fill is None else float(fill)))
+
 
 _ADD_ARRAY_NAMES = ("domain", "region_shape", "n_regions", "regions", "axis",
-                    "halo", "ghost", "dtype", "n_slots", "slot", "extent")
+                    "halo", "ghost", "dtype", "fill", "n_slots", "slot", "extent")
 
 _junk = st.one_of(st.none(), st.booleans(), st.floats(allow_nan=True),
                   st.text(max_size=3), st.just(()), st.just([1.5]))
@@ -105,7 +129,8 @@ def add_array_calls(draw):
         kw["region_shape"] = draw(st.tuples(*[st.integers(0, 12)] * ndim))
     for arg, good in (("n_slots", st.integers(-1, 6)), ("axis", st.integers(-1, 3)),
                       ("halo", st.integers(-1, 2)),
-                      ("dtype", st.sampled_from(["float64", "float32", "int32"]))):
+                      ("dtype", st.sampled_from(["float64", "float32", "int32"])),
+                      ("fill", st.floats(-5, 5) | st.integers(-5, 5))):
         if draw(st.booleans()):
             kw[arg] = draw(good)
     bad = draw(st.sampled_from([None, *kw]))
@@ -117,10 +142,10 @@ def add_array_calls(draw):
 
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(add_array_calls())
-def test_add_array_returns_or_names_the_argument(kwargs):
+@given(add_array_calls(), st.sampled_from(["timing", "functional"]))
+def test_add_array_returns_or_names_the_argument(kwargs, mode):
     def call():
-        return TidaAcc(mode="timing").add_array("u", **kwargs)
+        return TidaAcc(mode=mode).add_array("u", **kwargs)
 
     value, exc = within_limit(call)
     event("rejected" if exc is not None else "added")
@@ -314,3 +339,85 @@ def test_load_generator_returns_or_names_the_field(kw):
     else:
         assert len(value) == kw["n_jobs"]
         assert all(math.isfinite(a.t) and a.t >= kw["start"] for a in value)
+
+
+# -- FaultPlan.from_spec --------------------------------------------------------
+
+
+class TestFaultPlanSpec:
+    @pytest.mark.parametrize("spec, key", [
+        ("h2d:after=nan", "after"),          # parsed into a rule that never fired
+        ("h2d:after=inf", "after"),
+        ("h2d:until=nan", "until"),
+        ("h2d:hang=inf,nth=1", "hang"),      # parsed, then killed the run mid-way
+        ("sync:hang=nan,nth=1", "hang"),
+    ])
+    def test_rule_it_cannot_honour_is_refused_at_parse_time(self, spec, key):
+        with pytest.raises(FaultPlanError, match=key):
+            FaultPlan.from_spec(spec)
+
+    @pytest.mark.parametrize("kwargs, key", [
+        ({"after_t": float("nan")}, "after_t"),
+        ({"after_t": float("-inf")}, "after_t"),
+        ({"until_t": float("nan")}, "until_t"),
+        ({"kind": "hang", "hang_seconds": float("inf")}, "hang_seconds"),
+    ])
+    def test_direct_construction_is_checked_too(self, kwargs, key):
+        with pytest.raises(FaultPlanError, match=key):
+            FaultRule(op="h2d", **kwargs)
+
+    @pytest.mark.parametrize("spec", [5, None, b"h2d:nth=1", ["h2d:nth=1"]])
+    def test_non_string_spec(self, spec):
+        with pytest.raises(FaultPlanError, match="spec"):    # was a raw AttributeError
+            FaultPlan.from_spec(spec)
+
+    def test_open_ended_window_still_parses(self):
+        (rule,) = FaultPlan.from_spec("h2d:after=0.5,until=inf,hang=0.002,nth=1").rules
+        assert (rule.after_t, rule.until_t, rule.hang_seconds) == (0.5, math.inf, 0.002)
+
+
+_FAULT_NAMES = ("op", "nth", "'p'", "p must", "after", "until", "error", "hang", "oom",
+                "max_fires", "seed", "spec", "rule item", "rule key")
+_SPEC_KEYS = ("field", "nth", "p", "after", "until", "error", "hang", "oom", "max_fires")
+_spec_values = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "1e999", "0", "1", "-1", "0.5", "2.5e-3",
+                     "u", "", "transfer", "ecc", "oom"]),
+    st.integers(-3, 2**40).map(str), st.floats().map(repr), st.text(max_size=3))
+
+
+@st.composite
+def fault_specs(draw):
+    """Spec strings of valid and junk clauses, or a value that is not a
+    string at all."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.one_of(st.none(), st.integers(), st.floats(), st.binary(max_size=4),
+                              st.lists(st.text(max_size=3), max_size=2),
+                              st.text(max_size=12)))
+    clauses = []
+    for _ in range(draw(st.integers(0, 3))):
+        op = draw(st.sampled_from(["h2d", "d2h", "copy", "launch", "malloc", "sync",
+                                   "*", "gpu", ""]))
+        keys = draw(st.lists(st.sampled_from(_SPEC_KEYS), max_size=3, unique=True))
+        items = [f"{key}={draw(_spec_values)}" for key in keys]
+        if draw(st.integers(0, 4)) == 0:
+            items.append(draw(st.text(max_size=3)))
+        clauses.append(op + (":" + ",".join(items) if items else ""))
+    if draw(st.booleans()):
+        clauses.append(f"seed={draw(_spec_values)}")
+    return "; ".join(clauses)
+
+
+@settings(max_examples=300, deadline=None)
+@given(fault_specs())
+def test_fault_spec_returns_or_names_the_key(spec):
+    value, exc = within_limit(lambda: FaultPlan.from_spec(spec))
+    event("rejected" if exc is not None else "parsed")
+    if exc is not None:
+        assert_names(exc, _FAULT_NAMES)
+        return
+    # every parsed rule can fire as written: a finite window start, a
+    # window end that is a number, a finite hang
+    assert isinstance(value, FaultPlan)
+    for rule in value.rules:
+        assert math.isfinite(rule.after_t) and not math.isnan(rule.until_t)
+        assert math.isfinite(rule.hang_seconds)
