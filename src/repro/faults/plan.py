@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import numbers
 import random
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -58,6 +59,14 @@ _DEFAULT_ERROR = {
 }
 
 
+def _real(value: object) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _integer(value: object) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass
 class FaultRule:
     """One injection rule.  See the module docstring for the vocabulary.
@@ -86,8 +95,27 @@ class FaultRule:
             )
         if self.kind not in ("error", "hang", "pressure"):
             raise FaultPlanError(f"unknown rule kind {self.kind!r}")
+        # a string or a fraction where a count belongs would escape as a
+        # raw TypeError below, or silently never fire
+        for name, value, integer, optional in (
+            ("nth", self.nth, True, True), ("p", self.p, False, True),
+            ("after_t", self.after_t, False, False),
+            ("until_t", self.until_t, False, False),
+            ("hang_seconds", self.hang_seconds, False, False),
+            ("oom_bytes", self.oom_bytes, True, False),
+            ("max_fires", self.max_fires, True, True),
+        ):
+            if optional and value is None:
+                continue
+            if not (_integer(value) if integer else _real(value)):
+                raise FaultPlanError(
+                    f"{name} must be {'an integer' if integer else 'a real number'}"
+                    f"{' or None' if optional else ''}, got {value!r}"
+                )
         if self.nth is not None and self.nth < 1:
             raise FaultPlanError(f"nth is 1-based, got {self.nth}")
+        if self.max_fires is not None and self.max_fires < 1:
+            raise FaultPlanError(f"max_fires must be >= 1 or None, got {self.max_fires}")
         if self.p is not None and not 0.0 <= self.p <= 1.0:
             raise FaultPlanError(f"p must be in [0, 1], got {self.p}")
         if self.nth is not None and self.p is not None:

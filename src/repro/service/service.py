@@ -596,18 +596,22 @@ class Service:
         return footprint <= self.admission.budget(self._reserved())
 
     def _evict_dataset_cache(self) -> bool:
-        """Drop cached read-only datasets nobody is borrowing (memory relief)."""
+        """Drop cached read-only datasets nobody is borrowing (memory relief)
+        and retire their streams' checker state."""
         running = {j.id for j in self._running}
         freed = False
+        streams = []
         for key in list(self._datasets):
             ds = self._datasets[key]
             ds["borrowers"] &= running
             if ds["owner"] in running or ds["borrowers"]:
                 continue
             ds["manager"].release_device_memory()
+            streams.extend(ds["manager"].streams)
             del self._datasets[key]
             self.metrics.inc("service.dedup_evicted")
             freed = True
+        self._retire_streams(streams)
         return freed
 
     def _register_datasets(self, job: _Job) -> None:
@@ -806,18 +810,23 @@ class Service:
                     streams.extend(mgr.streams)
             self.partitioner.release(job.tenant, job.slots_held)
         self._draining = still
+        self._retire_streams(streams)
+
+    def _retire_streams(self, streams: list) -> None:
+        """Hand streams that will queue no more work to the checker."""
         checker = self.runtime.checker
-        if streams and checker is not None:
-            # every after= a job issues comes from a live manager (or a
-            # kernel of the same call): their names are all that survives
-            live: set[float] = set()
-            managers = [ds["manager"] for ds in self._datasets.values()]
-            for job in self._running + [job for job, _end in still]:
-                managers.extend(job.lib.manager(f) for f in job.lib.field_names())
-            for mgr in managers:
-                live.update(mgr.live_after_times())
-            checker.retire_streams(self.runtime._runtime_id, streams,
-                                   now=now, live=live)
+        if not streams or checker is None:
+            return
+        # every after= a job issues comes from a live manager (or a
+        # kernel of the same call): their names are all that survives
+        live: set[float] = set()
+        managers = [ds["manager"] for ds in self._datasets.values()]
+        for job in self._running + [job for job, _end in self._draining]:
+            managers.extend(job.lib.manager(f) for f in job.lib.field_names())
+        for mgr in managers:
+            live.update(mgr.live_after_times())
+        checker.retire_streams(self.runtime._runtime_id, streams,
+                               now=self.now, live=live)
 
     def run(self) -> ServiceReport:
         """Drain the queue deterministically; returns the aggregate report."""

@@ -13,6 +13,7 @@ From the trace we derive:
 
 from __future__ import annotations
 
+import math
 from array import array
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator
@@ -22,6 +23,25 @@ from .intervals import IntervalUnion, intersection
 
 #: Event categories used by the runtime.
 CATEGORIES = ("h2d", "d2h", "kernel", "host", "sync")
+
+#: Value types a shared dict may hold.
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+def _key(values: tuple) -> tuple | None:
+    """``values`` plus what tells them from equal values that serialize
+    differently: each one's type (``1``, ``1.0`` and ``True`` compare
+    equal) and each float's sign (so do ``0.0`` and ``-0.0``).
+
+    None when a value is not a plain scalar: a list may change after it
+    is stored, and a tuple's items would need the same care.
+    """
+    types = tuple(map(type, values))
+    if not _SCALARS.issuperset(types):
+        return None
+    if float in types:
+        types += tuple([math.copysign(1.0, v) for v in values if type(v) is float])
+    return values + types
 
 
 @dataclass(frozen=True, slots=True)
@@ -72,12 +92,27 @@ class Trace:
     sample times plus a list of the values as given (ints stay ints), a
     mark as a ``(name, ts, args)`` tuple.  The readers build their dicts
     and tuples on read.
+
+    A span's ``meta`` and a mark's ``args`` are kept once per distinct
+    value: equal dicts of plain scalars (str, int, float, bool, None)
+    that serialize alike, keys in the same order, are one shared dict,
+    so treat them as read-only.  A dict holding anything else keeps its
+    own.
     """
 
     def __init__(self) -> None:
         self._events: list[TraceEvent] = []
         self._counters: dict[str, tuple[array, list[float]]] = {}
         self._marks: list[tuple[str, float, dict[str, Any]]] = []
+        self._shared: dict[tuple, dict[str, Any]] = {}
+
+    def _share(self, args: dict[str, Any]) -> dict[str, Any]:
+        """The stored dict equal to ``args`` (``args`` itself the first
+        time, or when it cannot be shared)."""
+        key = _key((*args, *args.values()))
+        if key is None:
+            return args
+        return self._shared.setdefault(key, args)
 
     def add(self, event: TraceEvent) -> TraceEvent:
         self._events.append(event)
@@ -104,7 +139,7 @@ class Trace:
                 end=end,
                 stream=stream,
                 nbytes=nbytes,
-                meta=meta,
+                meta=self._share(meta),
             )
         )
 
@@ -122,7 +157,7 @@ class Trace:
         """Record an instant decision event (evict/hit/skip) at ``ts``."""
         if ts < 0:
             raise SimulationError(f"mark time must be >= 0, got {ts!r}")
-        self._marks.append((name, ts, args))
+        self._marks.append((name, ts, self._share(args)))
 
     @property
     def counter_tracks(self) -> dict[str, list[tuple[float, float]]]:
@@ -133,15 +168,18 @@ class Trace:
 
     @property
     def marks(self) -> tuple[dict[str, Any], ...]:
-        """Every decision mark as a fresh ``{"name", "ts", "args"}`` dict."""
+        """Every decision mark as a fresh ``{"name", "ts", "args"}`` dict.
+
+        ``args`` is the stored dict, shared by marks with equal args:
+        treat it as read-only."""
         return tuple([{"name": name, "ts": ts, "args": args}
                       for name, ts, args in self._marks])
 
     def marks_since(self, start: int) -> list[dict[str, Any]]:
         """Marks recorded at index ``start`` or later (incremental reads),
-        as fresh dicts like :attr:`marks`.  A negative ``start`` counts
-        from the end, as in a slice: ``marks_since(-n)`` is the last
-        ``n`` marks.
+        as fresh dicts like :attr:`marks` (whose ``args`` are shared and
+        read-only).  A negative ``start`` counts from the end, as in a
+        slice: ``marks_since(-n)`` is the last ``n`` marks.
 
         Lets a periodic sampler consume new marks in O(new) instead of
         building the whole mark list via :attr:`marks` every sample.
@@ -263,20 +301,31 @@ class Trace:
         picosecond grid, so ``from_chrome_trace``'s ÷1e6 followed by a
         re-save's ×1e6 lands back on the same grid point and save → load
         → save is byte-stable instead of drifting by an ulp per cycle.
+
+        Events share their ``args``: one dict per distinct span
+        ``(stream, nbytes, meta)`` and per distinct counter value, and a
+        mark's stored args.  Treat the events as read-only.
         """
         lane_tids = {lane: tid for tid, lane in enumerate(self.lanes())}
         events = []
         append = events.append
+        span_args: dict[tuple | None, dict[str, Any]] = {}
         for e in self._events:
-            # args: stream and nbytes first, then meta (whose keys may
-            # override either value, keeping its position)
-            args = {}
-            if e.stream is not None:
-                args["stream"] = e.stream
-            if e.nbytes:
-                args["nbytes"] = e.nbytes
-            if e.meta:
-                args.update(e.meta)
+            # a stored meta is shared, so its identity names its value
+            key = _key((e.stream, e.nbytes, id(e.meta)))
+            args = span_args.get(key)
+            if args is None:
+                # stream and nbytes first, then meta (whose keys may
+                # override either value, keeping its position)
+                args = {}
+                if e.stream is not None:
+                    args["stream"] = e.stream
+                if e.nbytes:
+                    args["nbytes"] = e.nbytes
+                if e.meta:
+                    args.update(e.meta)
+                if key is not None:
+                    span_args[key] = args
             append({
                 "name": e.name,
                 "cat": e.category,
@@ -293,10 +342,21 @@ class Trace:
                     "args": {"name": lane}})
         # counter tracks (queue depth, cache occupancy) render as
         # Perfetto counters alongside the lanes
+        value_args: dict[tuple | None, dict[str, Any]] = {}
+
+        def counter_args(value: Any) -> dict[str, Any]:
+            key = _key((value,))
+            args = value_args.get(key)
+            if args is None:
+                args = {"value": value}
+                if key is not None:
+                    value_args[key] = args
+            return args
+
         for track in sorted(self._counters):
             events += [
                 {"name": track, "ph": "C", "ts": round(ts * 1e6, 6), "pid": 0,
-                 "args": {"value": value}}
+                 "args": counter_args(value)}
                 for ts, value in zip(*self._counters[track])
             ]
         # decision marks land on a dedicated pseudo-thread
@@ -307,7 +367,7 @@ class Trace:
             events += [
                 {"name": name, "cat": "decision", "ph": "i", "s": "t",
                  "ts": round(ts * 1e6, 6), "pid": 0, "tid": mark_tid,
-                 "args": dict(args)}
+                 "args": args}
                 for name, ts, args in self._marks
             ]
         return events

@@ -3,7 +3,8 @@
 A service session lets go of what a reaped job leaves behind: the
 hazard checker holds buffers and events weakly (a dead one's access
 state goes with it), ``Service._reap_drained`` hands the job's streams
-to ``HazardChecker.retire_streams`` (their clocks go, and so does every
+(and ``_evict_dataset_cache`` an evicted dedup dataset's) to
+``HazardChecker.retire_streams`` (their clocks go, and so does every
 completion snapshot no surviving manager can still pass as ``after=``),
 and a queued workload job builds its input arrays only when it is
 first considered for admission.
@@ -94,6 +95,26 @@ def shed(jsonl):
     svc.submit("vip", workload="heat", n_regions=8, n_slots=4, at=1e-4,
                workload_kwargs={"shape": (64, 48, 48), "steps": 1, "seed": 0})
     return svc, None
+
+
+def dedup_evict(jsonl):
+    """Borrowed coeff-heat ``kappa`` datasets evicted to admit a larger
+    heat job (policy "queue", 3 MB), then cached again."""
+    bus = TelemetryBus(sample_interval=1e-4, jsonl=jsonl)
+    svc = Service(device_memory_limit=3_000_000, admission_policy="queue",
+                  telemetry=bus)
+    svc.add_tenant("t")
+    svc.add_tenant("u")
+    for tenant, workload, shape, steps, seed, n_slots, at in (
+        ("t", "coeff-heat", (64, 32, 32), 2, 0, 4, 0.0),
+        ("u", "coeff-heat", (64, 32, 32), 1, 0, 4, 1e-4),   # borrows kappa
+        ("t", "heat", (64, 44, 44), 1, 1, 8, 2e-3),         # evicts it
+        ("u", "coeff-heat", (64, 32, 32), 1, 0, 4, 3e-3),
+        ("t", "heat", (64, 44, 44), 1, 2, 8, 4e-3),
+    ):
+        svc.submit(tenant, workload=workload, n_regions=8, n_slots=n_slots, at=at,
+                   workload_kwargs={"shape": shape, "steps": steps, "seed": seed})
+    return svc, bus
 
 
 def degrade(jsonl):
@@ -188,6 +209,7 @@ SCENARIOS = {
     "faults-9": (faulty_evicting(9), ("faults.retries",)),
     "shed": (shed, ("service.evictions.priority",)),
     "degrade": (degrade, ("service.degraded",)),
+    "dedup-evict": (dedup_evict, ("service.dedup_hits", "service.dedup_evicted")),
 }
 
 
@@ -207,6 +229,17 @@ def test_release_changes_no_artifact(scenario, tmp_path, monkeypatch):
     assert len(ref_checker._buffers) > len(checker._buffers)
     assert len(ref_checker._completions) > len(checker._completions)
     assert len(ref_checker._streams) > len(checker._streams)
+
+
+def test_an_evicted_dataset_leaves_no_stream_state(tmp_path):
+    svc, bus = dedup_evict(tmp_path / "evict.jsonl")
+    svc.run()
+    bus.close()
+    cached = {s.stream_id for ds in svc._datasets.values() for s in ds["manager"].streams}
+    assert svc.metrics.value("service.dedup_evicted") == 2
+    # every job was reaped, so only a cached dataset may keep a stream
+    assert {sid for _rt, sid in svc.runtime.checker._streams} <= cached
+    svc.close()
 
 
 @pytest.mark.parametrize("mode", ["observe", "strict"])

@@ -1,10 +1,12 @@
 """Chrome/Perfetto trace export."""
 
 import json
+from typing import Any
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import SimulationError
 from repro.sim.trace import Trace, TraceEvent
 
 
@@ -268,3 +270,208 @@ class TestExportDifferential:
         spans = [e for e in t.to_chrome_trace() if e["ph"] == "X"]
         assert list(spans[0]["args"]) == ["region", "stream_hint"]
         assert list(spans[1]["args"].items()) == [("stream", 5), ("nbytes", 9), ("n", 1)]
+
+
+# -- shared args against the trace that copied them ---------------------------
+
+
+class CopyingTrace(Trace):
+    """The trace before it kept one dict per distinct value: ``record``,
+    ``mark`` and ``to_chrome_trace`` verbatim (each span and mark stores
+    its own dict, and the export builds one ``args`` per event)."""
+
+    def record(
+        self,
+        name: str,
+        category: str,
+        lane: str,
+        start: float,
+        end: float,
+        *,
+        stream: int | None = None,
+        nbytes: int = 0,
+        **meta: Any,
+    ) -> TraceEvent:
+        return self.add(
+            TraceEvent(
+                name=name,
+                category=category,
+                lane=lane,
+                start=start,
+                end=end,
+                stream=stream,
+                nbytes=nbytes,
+                meta=meta,
+            )
+        )
+
+    def mark(self, name: str, ts: float, **args: Any) -> None:
+        """Record an instant decision event (evict/hit/skip) at ``ts``."""
+        if ts < 0:
+            raise SimulationError(f"mark time must be >= 0, got {ts!r}")
+        self._marks.append((name, ts, args))
+
+    def to_chrome_trace(self) -> list[dict[str, Any]]:
+        lane_tids = {lane: tid for tid, lane in enumerate(self.lanes())}
+        events = []
+        append = events.append
+        for e in self._events:
+            # args: stream and nbytes first, then meta (whose keys may
+            # override either value, keeping its position)
+            args = {}
+            if e.stream is not None:
+                args["stream"] = e.stream
+            if e.nbytes:
+                args["nbytes"] = e.nbytes
+            if e.meta:
+                args.update(e.meta)
+            append({
+                "name": e.name,
+                "cat": e.category,
+                "ph": "X",
+                "ts": round(e.start * 1e6, 6),
+                "dur": round((e.end - e.start) * 1e6, 6),
+                "pid": 0,
+                "tid": lane_tids[e.lane],
+                "args": args,
+            })
+        # thread-name metadata so the UI labels lanes
+        for lane, tid in lane_tids.items():
+            append({"name": "thread_name", "ph": "M", "pid": 0, "tid": tid,
+                    "args": {"name": lane}})
+        # counter tracks (queue depth, cache occupancy) render as
+        # Perfetto counters alongside the lanes
+        for track in sorted(self._counters):
+            events += [
+                {"name": track, "ph": "C", "ts": round(ts * 1e6, 6), "pid": 0,
+                 "args": {"value": value}}
+                for ts, value in zip(*self._counters[track])
+            ]
+        # decision marks land on a dedicated pseudo-thread
+        if self._marks:
+            mark_tid = len(lane_tids)
+            append({"name": "thread_name", "ph": "M", "pid": 0, "tid": mark_tid,
+                    "args": {"name": "decisions"}})
+            events += [
+                {"name": name, "cat": "decision", "ph": "i", "s": "t",
+                 "ts": round(ts * 1e6, 6), "pid": 0, "tid": mark_tid,
+                 "args": dict(args)}
+                for name, ts, args in self._marks
+            ]
+        return events
+
+
+def typed(v: Any) -> Any:
+    """``v`` with the type of every value in it spelled out (and a float's
+    repr, so ``0.0`` and ``-0.0`` differ)."""
+    if isinstance(v, dict):
+        return ("dict", [(typed(k), typed(x)) for k, x in v.items()])
+    if isinstance(v, (list, tuple)):
+        return (type(v).__name__, [typed(x) for x in v])
+    return (type(v).__name__, repr(v))
+
+
+#: values that compare equal but serialize differently, a few that do
+#: not, and a list (which no two dicts may share)
+tricky = st.sampled_from([1, 1.0, True, 0, 0.0, -0.0, False, None, 2, "u", "1"]) | \
+    st.lists(st.sampled_from([1, 1.0, True, -0.0]), max_size=2)
+
+def tricky_dict(*keys):
+    """Dicts built in draw order, so equal items come in different orders."""
+    return st.lists(st.tuples(st.sampled_from(keys), tricky), max_size=3).map(dict)
+
+
+#: a span is recorded with its meta as keywords, or added as an event
+#: whose meta may override ``stream``/``nbytes``; a recorded span or a
+#: mark may be repeated with its items in reverse order
+op = st.one_of(
+    st.tuples(st.sampled_from(["record", "add"]), st.sampled_from(["k", "up"]), times,
+              st.sampled_from([None, 0, 1, 1.0, True]), st.sampled_from([0, 0.0, 64, 64.0]),
+              tricky_dict("region", "slot", "n_cells"), st.booleans()),
+    st.tuples(st.just("add"), st.sampled_from(["k", "up"]), times,
+              st.sampled_from([None, 1, True]), st.sampled_from([0, 64, 64.0]),
+              tricky_dict("stream", "nbytes", "region"), st.just(False)),
+    st.tuples(st.just("counter"), st.sampled_from(["queue_depth:h2d", "z"]), times,
+              st.sampled_from([1, 1.0, True, 0, 0.0, -0.0, False, 3])),
+    st.tuples(st.just("mark"), st.sampled_from(["evict", "iteration"]), times,
+              tricky_dict("stream", "region", "slot"), st.booleans()),
+)
+
+
+def _fill(trace: Trace, ops) -> Trace:
+    for kind, name, ts, *rest in ops:
+        if kind == "counter":
+            trace.record_counter(name, ts, rest[0])
+            continue
+        *span, args, reverse = rest
+        for d in (args, dict(reversed(args.items())))[:1 + reverse]:
+            if kind == "mark":
+                trace.mark(name, ts, **d)
+                continue
+            stream, nbytes = span
+            cat, lane = ("kernel", "compute") if name == "k" else ("h2d", "h2d")
+            if kind == "record":
+                trace.record(name, cat, lane, ts, ts + 1e-5, stream=stream, nbytes=nbytes,
+                             **d)
+            else:
+                trace.add(TraceEvent(name, cat, lane, ts, ts + 1e-5, stream=stream,
+                                     nbytes=nbytes, meta=d))
+    return trace
+
+
+def _readers(trace: Trace) -> list[Any]:
+    n = len(trace.marks)
+    return [[repr(e) for e in trace], typed(trace.marks),
+            [typed(trace.marks_since(i)) for i in range(-n - 1, n + 2)],
+            typed(trace.counter_tracks)]
+
+
+def _same_export(events, ref_events) -> None:
+    assert typed(events) == typed(ref_events)
+    for sort_keys in (False, True):
+        assert json.dumps(events, sort_keys=sort_keys) == json.dumps(ref_events, sort_keys=sort_keys)
+
+
+class TestSharedArgs:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(op, max_size=14))
+    def test_reads_and_exports_as_the_copying_trace(self, ops):
+        new, ref = _fill(Trace(), ops), _fill(CopyingTrace(), ops)
+        assert _readers(new) == _readers(ref)
+        events, ref_events = new.to_chrome_trace(), ref.to_chrome_trace()
+        _same_export(events, ref_events)
+        back, ref_back = Trace.from_chrome_trace(events), CopyingTrace.from_chrome_trace(ref_events)
+        assert _readers(back) == _readers(ref_back)
+        _same_export(back.to_chrome_trace(), ref_back.to_chrome_trace())
+
+    def test_a_list_is_never_shared(self):
+        t = Trace()
+        t.mark("iteration", 0.0, fields=["u"])
+        t.mark("iteration", 1.0, fields=["u"])
+        a, b = (m["args"] for m in t.marks)
+        assert a == b and a is not b
+
+    def test_an_observed_heat_run_exports_one_args_per_distinct_value(self):
+        from repro import Neumann, TidaAcc, heat_kernel
+
+        lib = TidaAcc(mode="timing", device_memory_limit=2 * 2 * 8 * 6 * 18 * 18,
+                      check="observe")
+        for name in ("u_old", "u_new"):
+            lib.add_array(name, (16, 16, 16), n_regions=4, halo=1, n_slots=2)
+        for _ in range(3):
+            lib.fill_boundary("u_old", Neumann())
+            it = lib.iterator("u_new", "u_old").reset(gpu=True)
+            while it.is_valid():
+                lib.compute(it, heat_kernel(3), params={"coef": 0.1})
+                it.next()
+            lib.swap("u_old", "u_new")
+        lib.synchronize()
+        events = lib.trace.to_chrome_trace()
+        # a dict of plain scalars is shared; the iteration marks' field
+        # lists keep their own
+        args = [e["args"] for e in events if e["ph"] in "XCi"
+                and not any(isinstance(v, list) for v in e["args"].values())]
+        distinct = {json.dumps(a) for a in args}
+        assert {e["ph"] for e in events} >= set("XCi")
+        assert len({id(a) for a in args}) == len(distinct)
+        assert len(distinct) < len(args) // 4

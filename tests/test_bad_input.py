@@ -356,15 +356,37 @@ class TestFaultPlanSpec:
         with pytest.raises(FaultPlanError, match=key):
             FaultPlan.from_spec(spec)
 
+    @pytest.mark.parametrize("spec", ["h2d:max_fires=-1", "h2d:max_fires=0",
+                                      "copy:p=0.5,max_fires=0"])
+    def test_a_rule_capped_below_one_fire_is_refused(self, spec):
+        with pytest.raises(FaultPlanError, match="max_fires"):   # parsed, never fired
+            FaultPlan.from_spec(spec)
+
     @pytest.mark.parametrize("kwargs, key", [
         ({"after_t": float("nan")}, "after_t"),
         ({"after_t": float("-inf")}, "after_t"),
         ({"until_t": float("nan")}, "until_t"),
         ({"kind": "hang", "hang_seconds": float("inf")}, "hang_seconds"),
+        ({"max_fires": -1}, "max_fires"),          # accepted, never fired
+        ({"max_fires": 0}, "max_fires"),
+        ({"max_fires": 2.5}, "max_fires"),         # accepted as a count
+        ({"max_fires": True}, "max_fires"),
+        ({"after_t": "1"}, "after_t"),             # raw TypeError from math.isfinite
+        ({"until_t": "2"}, "until_t"),
+        ({"kind": "hang", "hang_seconds": "1"}, "hang_seconds"),
+        ({"nth": "2"}, "nth"),                     # raw TypeError from a comparison
+        ({"nth": 2.0}, "nth"),
+        ({"p": "0.5"}, "p must"),
+        ({"p": None, "oom_bytes": 1.5, "kind": "pressure", "op": "malloc"}, "oom_bytes"),
     ])
     def test_direct_construction_is_checked_too(self, kwargs, key):
         with pytest.raises(FaultPlanError, match=key):
-            FaultRule(op="h2d", **kwargs)
+            FaultRule(**{"op": "h2d", **kwargs})
+
+    def test_numpy_numbers_are_numbers(self):
+        rule = FaultRule(op="h2d", nth=np.int64(2), after_t=np.float64(0.5),
+                         max_fires=np.int32(1))
+        assert (rule.nth, rule.after_t, rule.max_fires) == (2, 0.5, 1)
 
     @pytest.mark.parametrize("spec", [5, None, b"h2d:nth=1", ["h2d:nth=1"]])
     def test_non_string_spec(self, spec):
@@ -383,6 +405,16 @@ _spec_values = st.one_of(
     st.sampled_from(["nan", "inf", "-inf", "1e999", "0", "1", "-1", "0.5", "2.5e-3",
                      "u", "", "transfer", "ecc", "oom"]),
     st.integers(-3, 2**40).map(str), st.floats().map(repr), st.text(max_size=3))
+#: values each key can take, drawn as often as junk so that whole specs
+#: parse often enough to test what they parse into (``max_fires``, drawn
+#: in every other clause, from just below its lower bound)
+_spec_fits = {
+    "field": st.sampled_from(["u", "kappa"]), "nth": st.integers(1, 3).map(str),
+    "p": st.sampled_from(["0", "0.5", "1"]), "after": st.sampled_from(["0", "0.5"]),
+    "until": st.sampled_from(["1", "inf"]), "error": st.sampled_from(["transfer", "ecc"]),
+    "hang": st.just("0.002"), "oom": st.just("1024"),
+    "max_fires": st.integers(-2, 3).map(str),
+}
 
 
 @st.composite
@@ -397,8 +429,10 @@ def fault_specs(draw):
     for _ in range(draw(st.integers(0, 3))):
         op = draw(st.sampled_from(["h2d", "d2h", "copy", "launch", "malloc", "sync",
                                    "*", "gpu", ""]))
-        keys = draw(st.lists(st.sampled_from(_SPEC_KEYS), max_size=3, unique=True))
-        items = [f"{key}={draw(_spec_values)}" for key in keys]
+        keys = draw(st.lists(st.sampled_from(_SPEC_KEYS[:-1]), max_size=3, unique=True))
+        if draw(st.booleans()):
+            keys.append("max_fires")
+        items = [f"{key}={draw(_spec_fits[key] | _spec_values)}" for key in keys]
         if draw(st.integers(0, 4)) == 0:
             items.append(draw(st.text(max_size=3)))
         clauses.append(op + (":" + ",".join(items) if items else ""))
@@ -416,8 +450,39 @@ def test_fault_spec_returns_or_names_the_key(spec):
         assert_names(exc, _FAULT_NAMES)
         return
     # every parsed rule can fire as written: a finite window start, a
-    # window end that is a number, a finite hang
+    # window end that is a number, a finite hang, a cap of at least one
     assert isinstance(value, FaultPlan)
     for rule in value.rules:
         assert math.isfinite(rule.after_t) and not math.isnan(rule.until_t)
         assert math.isfinite(rule.hang_seconds)
+        assert rule.max_fires is None or rule.max_fires >= 1
+
+
+_RULE_FIELDS = ("nth", "p", "after_t", "until_t", "hang_seconds", "oom_bytes", "max_fires")
+_rule_values = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 5), st.floats(-1, 3),
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.5, 2.5, "1", "0.5", [1],
+                     np.int64(2), np.float64(0.25)]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["h2d", "malloc", "sync"]), st.sampled_from(["error", "hang", "pressure"]),
+       st.dictionaries(st.sampled_from(_RULE_FIELDS), _rule_values, max_size=4))
+def test_fault_rule_builds_or_names_the_field(op, kind, kwargs):
+    value, exc = within_limit(lambda: FaultRule(op=op, kind=kind, **kwargs))
+    event("rejected" if exc is not None else "built")
+    if exc is not None:
+        assert isinstance(exc, FaultPlanError), f"raw {type(exc).__name__}: {exc}"
+        assert_names(exc, _RULE_FIELDS + ("nth", "hang", "oom", "window", "pressure"))
+        return
+    # a counted field holds a count of at least one, every other field a
+    # real number, and the rule can be drawn without a raw error
+    for name in ("nth", "max_fires"):
+        n = getattr(value, name)
+        assert n is None or (isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+                             and n >= 1)
+    assert value.p is None or 0.0 <= value.p <= 1.0
+    assert math.isfinite(value.after_t) and math.isfinite(value.hang_seconds)
+    assert not math.isnan(value.until_t)
+    assert isinstance(value.oom_bytes, (int, np.integer)) and not isinstance(value.oom_bytes, bool)
+    FaultPlan([value]).draw(op, "u", value.after_t)
