@@ -105,7 +105,7 @@ def _run_nominal_leg(policies: dict[str, float]):
     jobs = _submit_all(svc, arrivals())
     report = svc.run()
     session = svc.session.to_bytes()
-    slo_bytes = svc.slo.to_bytes()
+    slo_bytes = svc.slo.stream.to_bytes()
     snapshot = svc.slo.snapshot()
     tenant_p95 = {
         t: info["latency_p95"] for t, info in report.tenants.items()

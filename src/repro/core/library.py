@@ -27,10 +27,9 @@ import numpy as np
 from ..config import MachineSpec
 from ..cuda.kernel import KernelSpec
 from ..cuda.runtime import CudaRuntime
-from ..errors import FaultError, ReproError, TidaError, TileAccError, TimingModeError
-from ..faults import TRANSIENT_ERRORS
+from ..errors import ReproError, TidaError, TileAccError, TimingModeError
 from ..faults.plan import FaultPlan
-from ..faults.retry import RetryPolicy
+from ..faults.retry import RetryPolicy, with_retry
 from ..openacc.runtime import AccRuntime
 from ..tida.boundary import BoundaryCondition
 from ..tida.box import Box
@@ -333,44 +332,20 @@ class TidaAcc:
     def _launch_with_retry(
         self, kernel_name: str, rid: int, issue: Callable[[], float]
     ) -> float:
-        """Re-launch a transiently failing kernel per the armed retry policy.
-
-        ECC-style launch faults raise before the kernel body runs (no
-        partial writes), so re-issuing the same launch is safe.  Retry
-        exhaustion flushes every writable field to the host, then raises
-        :class:`FaultError`.
-        """
-        policy = self.retry
-        if policy is None:
+        """Re-launch a transiently failing kernel per the armed retry policy
+        (:func:`~repro.faults.retry.with_retry`).  ECC-style launch faults
+        raise before the kernel body runs (no partial writes), so re-issuing
+        is safe; exhaustion flushes every writable field to the host."""
+        if self.retry is None:
             return issue()
-        m = self.runtime.metrics
-        last: Exception | None = None
-        for attempt in range(1, policy.max_attempts + 1):
-            try:
-                result = issue()
-            except TRANSIENT_ERRORS as exc:
-                last = exc
-                if attempt == policy.max_attempts:
-                    break
-                m.inc("faults.retries")
-                m.inc(f"faults.retries.{kernel_name}")
-                wait = policy.delay(attempt, key=(kernel_name, "launch", rid))
-                self.runtime.trace.mark(
-                    "fault-retry", self.runtime.now,
-                    kernel=kernel_name, op="launch", region=rid,
-                    attempt=attempt, backoff=wait,
-                )
-                self.runtime.clock.advance(wait)
-                continue
-            if last is not None:
-                m.inc("faults.recovered")
-                m.inc(f"faults.recovered.{kernel_name}")
-                self.runtime.trace.mark(
-                    "fault-recovered", self.runtime.now,
-                    kernel=kernel_name, op="launch", region=rid, attempts=attempt,
-                )
-            return result
-        # rescue what survives before surfacing the failure
+        return with_retry(
+            self.runtime, self.retry, issue, owner=("kernel", kernel_name),
+            op="launch", rid=rid, rescue=self._flush_writable,
+            what=f"launch of kernel {kernel_name!r} on region {rid}",
+        )
+
+    def _flush_writable(self) -> None:
+        """Best-effort rescue of every writable field, injection suspended."""
         plan = self.runtime.faults
         ctx = plan.suspended() if plan is not None else contextlib.nullcontext()
         with ctx:
@@ -381,14 +356,6 @@ class TidaAcc:
                         mgr.flush_to_host()
                 except ReproError:
                     continue
-        err = FaultError(
-            f"launch of kernel {kernel_name!r} on region {rid} failed after "
-            f"{policy.max_attempts} attempts",
-            op="launch", field=kernel_name, region=rid,
-            attempts=policy.max_attempts,
-        )
-        self.runtime.notify_incident("fault", err)
-        raise err from last
 
     def _op_label(self, kind: str, name: str, field: str, rid: int) -> str:
         """``kind:name:<field>.r<rid>`` (``kind:name:r<rid>`` without a

@@ -37,8 +37,7 @@ from typing import Callable, Iterator, Sequence
 
 from ..cuda.runtime import CudaRuntime
 from ..errors import CudaMemoryAllocationError, FaultError, ReproError, TileAccError
-from ..faults import TRANSIENT_ERRORS
-from ..faults.retry import RetryPolicy
+from ..faults.retry import RetryPolicy, with_retry
 from ..openacc.runtime import AccRuntime
 from ..sim.device import DeviceBuffer
 from ..tida.region import Region
@@ -318,52 +317,16 @@ class TileAcc:
     # -- resilience (fault retry, degradation, emergency flush) ---------------
 
     def _with_retry(self, op: str, rid: int, issue: Callable[[], float]) -> float:
-        """Run ``issue`` under the armed retry policy.
-
-        Transient faults re-issue the operation on the same slot stream
-        after a virtual-clock backoff.  Exhaustion flushes every surviving
-        region to the host, then raises :class:`FaultError` carrying the
-        last underlying error as ``__cause__``.
-        """
-        policy = self.retry
-        if policy is None:
+        """Run ``issue`` under the armed retry policy (:func:`with_retry`):
+        a transient fault re-issues it on the same slot stream; exhaustion
+        flushes every surviving region to the host."""
+        if self.retry is None:
             return issue()
-        m = self.runtime.metrics
-        last: Exception | None = None
-        for attempt in range(1, policy.max_attempts + 1):
-            try:
-                result = issue()
-            except TRANSIENT_ERRORS as exc:
-                last = exc
-                if attempt == policy.max_attempts:
-                    break
-                m.inc("faults.retries")
-                m.inc(f"faults.retries.{self._obs_field}")
-                wait = policy.delay(attempt, key=(self._obs_field, op, rid))
-                self.runtime.trace.mark(
-                    "fault-retry", self.runtime.now,
-                    field=self._obs_field, op=op, region=rid,
-                    attempt=attempt, backoff=wait,
-                )
-                self.runtime.clock.advance(wait)
-                continue
-            if last is not None:
-                m.inc("faults.recovered")
-                m.inc(f"faults.recovered.{self._obs_field}")
-                self.runtime.trace.mark(
-                    "fault-recovered", self.runtime.now,
-                    field=self._obs_field, op=op, region=rid, attempts=attempt,
-                )
-            return result
-        self._flush_surviving()
-        err = FaultError(
-            f"{op} of region {rid} on field {self._obs_field!r} failed after "
-            f"{policy.max_attempts} attempts",
-            op=op, field=self._obs_field, region=rid,
-            attempts=policy.max_attempts,
+        return with_retry(
+            self.runtime, self.retry, issue, owner=("field", self._obs_field),
+            op=op, rid=rid, rescue=self._flush_surviving,
+            what=f"{op} of region {rid} on field {self._obs_field!r}",
         )
-        self.runtime.notify_incident("fault", err)
-        raise err from last
 
     def _flush_surviving(self) -> None:
         """Emergency download of every device-resident region.
@@ -398,23 +361,27 @@ class TileAcc:
                 break
         if victim is None:
             return False
-        plan = self.runtime.faults
-        ctx = plan.suspended() if plan is not None else contextlib.nullcontext()
-        with ctx:
-            if victim.bound != EMPTY:
-                if self._evict(victim):
-                    # the write-back D2H must land before the buffer is freed
-                    self.runtime.stream_synchronize(self._wb_stream)
-            self.runtime.free(victim.buffer)
-        victim.buffer = None
-        self.slots.remove(victim)
-        self.pool.slots.remove(victim)
+        self._drop_slot(victim)
         self.prefetch_enabled = False
         m = self.runtime.metrics
         m.inc("faults.degraded")
         m.inc(f"faults.degraded.{self._obs_field}")
         self._mark("fault-degrade", EMPTY, victim, slots_left=len(self.slots))
         return True
+
+    def _drop_slot(self, victim: DeviceSlot) -> None:
+        """Write back ``victim``'s occupant (injection suspended), free its
+        buffer and take the slot out of the pool."""
+        plan = self.runtime.faults
+        with plan.suspended() if plan is not None else contextlib.nullcontext():
+            if victim.bound != EMPTY and self._evict(victim):
+                # the write-back D2H must land before the buffer is freed
+                self.runtime.stream_synchronize(self._wb_stream)
+            if victim.buffer is not None:
+                self.runtime.free(victim.buffer)
+        victim.buffer = None
+        self.slots.remove(victim)
+        self.pool.slots.remove(victim)
 
     def shed_slots(self, n: int = 1) -> int:
         """Voluntarily give back up to ``n`` device slots (QoS shedding).
@@ -442,18 +409,7 @@ class TileAcc:
             if victim is None:
                 # no slot has a live allocation yet; drop an unbacked one
                 victim = self.slots[-1]
-            plan = self.runtime.faults
-            ctx = plan.suspended() if plan is not None else contextlib.nullcontext()
-            with ctx:
-                if victim.bound != EMPTY:
-                    if self._evict(victim):
-                        # the write-back D2H must land before the buffer is freed
-                        self.runtime.stream_synchronize(self._wb_stream)
-                if victim.buffer is not None:
-                    self.runtime.free(victim.buffer)
-            victim.buffer = None
-            self.slots.remove(victim)
-            self.pool.slots.remove(victim)
+            self._drop_slot(victim)
             shed += 1
             m.inc("cache.shed")
             m.inc(f"cache.shed.{self._obs_field}")

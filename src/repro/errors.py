@@ -224,3 +224,13 @@ class DagFormatError(ReproError):
         super().__init__(message)
         self.row = row
         self.field = field
+
+
+class RecordFormatError(ReproError):
+    """A record stream's line that is not a record
+    (:func:`~repro.obs.records.read_records`): ``path`` names the file,
+    ``line`` the 1-based number of its first bad line."""
+
+    def __init__(self, message: str, *, path: str, line: int) -> None:
+        super().__init__(message)
+        self.path, self.line = path, line

@@ -23,18 +23,14 @@ from ..errors import (
     FaultPlanError,
 )
 from .plan import ERROR_CLASSES, OPS, FaultPlan, FaultRule, Injection
-from .retry import RetryPolicy
-
-#: Errors the resilience layer treats as transient (retryable).  OOM is
-#: deliberately absent: allocation failure is handled by slot-pool
-#: degradation, not blind re-issue.
-TRANSIENT_ERRORS = (CudaTransferError, CudaEccUncorrectableError)
+from .retry import TRANSIENT_ERRORS, RetryPolicy, with_retry
 
 __all__ = [
     "FaultPlan",
     "FaultRule",
     "Injection",
     "RetryPolicy",
+    "with_retry",
     "FaultError",
     "FaultPlanError",
     "TRANSIENT_ERRORS",

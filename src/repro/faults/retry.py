@@ -6,14 +6,26 @@ at ``max_backoff``), stretched by deterministic jitter.  Jitter is
 derived statelessly from ``(jitter_seed, key, attempt)`` — not from a
 shared RNG — so two runs with the same seed produce identical backoff
 sequences regardless of how retries from different fields interleave.
+:func:`with_retry` is the one loop that applies a policy, to slot
+transfers and kernel launches alike.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Hashable, Sequence
+from typing import Any, Callable, Hashable, Sequence
 
-from ..errors import FaultPlanError
+from ..errors import (
+    CudaEccUncorrectableError,
+    CudaTransferError,
+    FaultError,
+    FaultPlanError,
+)
+
+#: Errors the resilience layer treats as transient (retryable).  OOM is
+#: deliberately absent: allocation failure is handled by slot-pool
+#: degradation, not blind re-issue.
+TRANSIENT_ERRORS = (CudaTransferError, CudaEccUncorrectableError)
 
 
 def _unit_fraction(parts: Sequence[Hashable]) -> float:
@@ -92,3 +104,48 @@ class RetryPolicy:
             f"RetryPolicy(max_attempts={self.max_attempts}, backoff={self.backoff}, "
             f"multiplier={self.multiplier}, jitter_seed={self.jitter_seed})"
         )
+
+
+def with_retry(runtime: Any, policy: RetryPolicy, issue: Callable[[], float], *,
+               owner: tuple[str, str], op: str, rid: int,
+               rescue: Callable[[], None], what: str) -> float:
+    """Run ``issue`` on ``runtime``, re-issuing it after a virtual-clock
+    backoff keyed on ``(name, op, rid)`` whenever a transient fault hits.
+
+    ``owner`` is ``("field" | "kernel", name)``: it leads the args of
+    every ``fault-retry``/``fault-recovered`` mark and names the
+    ``faults.retries.<name>``/``faults.recovered.<name>`` counters.
+    Exhaustion calls ``rescue`` (flush what survives to the host),
+    reports the incident and raises :class:`~repro.errors.FaultError`
+    (message opening with ``what``) from the last underlying error.
+    """
+    key, name = owner
+    m = runtime.metrics
+    last: Exception | None = None
+    for attempt in range(1, policy.max_attempts + 1):
+        try:
+            result = issue()
+        except TRANSIENT_ERRORS as exc:
+            last = exc
+            if attempt == policy.max_attempts:
+                break
+            m.inc("faults.retries")
+            m.inc(f"faults.retries.{name}")
+            wait = policy.delay(attempt, key=(name, op, rid))
+            runtime.trace.mark("fault-retry", runtime.now, **{key: name}, op=op,
+                               region=rid, attempt=attempt, backoff=wait)
+            runtime.clock.advance(wait)
+            continue
+        if last is not None:
+            m.inc("faults.recovered")
+            m.inc(f"faults.recovered.{name}")
+            runtime.trace.mark("fault-recovered", runtime.now, **{key: name},
+                               op=op, region=rid, attempts=attempt)
+        return result
+    rescue()
+    err = FaultError(
+        f"{what} failed after {policy.max_attempts} attempts",
+        op=op, field=name, region=rid, attempts=policy.max_attempts,
+    )
+    runtime.notify_incident("fault", err)
+    raise err from last

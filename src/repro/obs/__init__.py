@@ -15,6 +15,8 @@
   online anomaly watchdog (``CudaRuntime(telemetry=TelemetryBus(...))``);
 * :mod:`repro.obs.watch` — the live session viewer CLI
   (``python -m repro.obs.watch session.jsonl [--follow]``);
+* :mod:`repro.obs.records` — the one JSONL record format every stream
+  (session, SLO, telemetry) is written and read in;
 * :mod:`repro.obs.slo` — per-tenant SLO tracking for the multi-tenant
   service: latency SLIs, error-budget accounting, multi-window
   burn-rate alerts, and SLO-aware backpressure
@@ -50,7 +52,6 @@ from .slo import (
     SloBurnDetector,
     SloPolicy,
     SloTracker,
-    read_slo,
 )
 from .metrics import (
     DEFAULT_BUCKETS,
@@ -100,5 +101,4 @@ __all__ = [
     "SloBurnDetector",
     "SloPolicy",
     "SloTracker",
-    "read_slo",
 ]

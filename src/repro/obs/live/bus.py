@@ -25,14 +25,14 @@ Design constraints, all load-bearing:
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable
 
 from ...sim.intervals import IntervalUnion, intersection
 from ..metrics import MetricsRegistry, ObsError
+from ..records import RecordLog
 
 #: Cumulative counter series sampled into every ``TelemetrySample``.
 #: Values are (total name -> registry counter name); prefixed entries
@@ -141,7 +141,6 @@ class TelemetrySample:
     overlap_efficiency: float | None
     queue_depth: float
     final: bool = False
-    meta: dict[str, Any] = field(default_factory=dict)
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -161,27 +160,6 @@ class TelemetrySample:
             "final": self.final,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "TelemetrySample":
-        return cls(
-            seq=int(d["seq"]),
-            t=float(d["t"]),
-            dt=float(d["dt"]),
-            totals={k: float(v) for k, v in d.get("totals", {}).items()},
-            deltas={k: float(v) for k, v in d.get("deltas", {}).items()},
-            h2d_bytes_per_s=float(d.get("h2d_bytes_per_s", 0.0)),
-            d2h_bytes_per_s=float(d.get("d2h_bytes_per_s", 0.0)),
-            stall_fraction=float(d.get("stall_fraction", 0.0)),
-            compute_fraction=float(d.get("compute_fraction", 0.0)),
-            transfer_fraction=float(d.get("transfer_fraction", 0.0)),
-            cache_hit_rate=(None if d.get("cache_hit_rate") is None
-                            else float(d["cache_hit_rate"])),
-            overlap_efficiency=(None if d.get("overlap_efficiency") is None
-                                else float(d["overlap_efficiency"])),
-            queue_depth=float(d.get("queue_depth", 0.0)),
-            final=bool(d.get("final", False)),
-        )
-
 
 class TelemetryBus:
     """Samples a runtime's registry on a virtual-clock cadence.
@@ -194,11 +172,9 @@ class TelemetryBus:
         boundaries back-fills one sample per boundary), each window
         covering exactly ``sample_interval`` of virtual time.
     jsonl:
-        Optional path; every sample/alert/incident is appended as one
-        JSON line (sorted keys, so sessions are byte-diffable).
-    keep_samples:
-        Retain emitted samples on ``bus.samples`` (default).  Long
-        services can turn this off and rely on subscribers instead.
+        Optional path of the ``repro-telemetry/1`` record stream
+        (:class:`~repro.obs.records.RecordLog`): a ``session`` header,
+        then every sample, alert and incident as it happens.
     enabled:
         ``False`` builds an inert bus: attach/close are no-ops and the
         clock is never subscribed, so the run is bit-for-bit identical
@@ -210,20 +186,18 @@ class TelemetryBus:
         sample_interval: float = 1e-3,
         *,
         jsonl: str | Path | None = None,
-        keep_samples: bool = True,
         enabled: bool = True,
     ) -> None:
         if sample_interval <= 0:
             raise ObsError(f"sample_interval must be positive, got {sample_interval!r}")
         self.sample_interval = float(sample_interval)
         self.enabled = bool(enabled)
-        self.keep_samples = bool(keep_samples)
         self.samples: list[TelemetrySample] = []
         self.alerts: list[Any] = []
         self.incidents: list[dict[str, Any]] = []
         self._subscribers: list[TelemetrySubscriber] = []
-        self._jsonl_path = Path(jsonl) if jsonl is not None else None
-        self._jsonl_file = None
+        # records are built only when there is a file to append them to
+        self._log = RecordLog(path=jsonl) if jsonl is not None else None
         self._clock = None
         self._metrics: MetricsRegistry | None = None
         self._trace = None
@@ -288,12 +262,10 @@ class TelemetryBus:
         self._last_t = self._clock.now
         self._last_k = int(math.floor(self._clock.now / self.sample_interval + 1e-12))
         self._last_totals = self._totals(self._clock.now)
-        self._write_jsonl({
-            "kind": "session",
-            "schema": "repro-telemetry/1",
-            "sample_interval": self.sample_interval,
-            "t0": self._clock.now,
-        })
+        if self._log is not None:
+            self._log.append({"kind": "session", "schema": "repro-telemetry/1",
+                              "sample_interval": self.sample_interval,
+                              "t0": self._clock.now})
         self._clock.subscribe(self._on_clock)
 
     def detach(self) -> None:
@@ -450,9 +422,9 @@ class TelemetryBus:
             self._seq += 1
             self._last_t = t
             self._last_totals = totals
-            if self.keep_samples:
-                self.samples.append(sample)
-            self._write_jsonl({"kind": "sample", **sample.to_dict()})
+            self.samples.append(sample)
+            if self._log is not None:
+                self._log.append({"kind": "sample", **sample.to_dict()})
             for sub in self._subscribers:
                 sub.on_sample(sample)
         finally:
@@ -463,8 +435,9 @@ class TelemetryBus:
     def publish_alert(self, alert: Any) -> None:
         """Record an alert and fan it out to every subscriber."""
         self.alerts.append(alert)
-        payload = alert.to_dict() if hasattr(alert, "to_dict") else dict(alert)
-        self._write_jsonl({"kind": "alert", **payload})
+        if self._log is not None:
+            payload = alert.to_dict() if hasattr(alert, "to_dict") else dict(alert)
+            self._log.append({"kind": "alert", **payload})
         for sub in self._subscribers:
             sub.on_alert(alert)
 
@@ -486,9 +459,10 @@ class TelemetryBus:
         }
         trigger.update(info)
         self.incidents.append(trigger)
-        # nested: the trigger's own "kind" (fault/hazard/...) must not
-        # clobber the record kind
-        self._write_jsonl({"kind": "incident", "trigger": trigger})
+        if self._log is not None:
+            # nested: the trigger's own "kind" (fault/hazard/...) must not
+            # clobber the record kind
+            self._log.append({"kind": "incident", "trigger": trigger})
         for sub in self._subscribers:
             sub.on_incident(trigger)
         return trigger
@@ -533,31 +507,5 @@ class TelemetryBus:
         self.detach()
         for sub in self._subscribers:
             sub.on_close(self)
-        if self._jsonl_file is not None:
-            self._jsonl_file.close()
-            self._jsonl_file = None
-
-    # -- persistence --------------------------------------------------------
-
-    def _write_jsonl(self, record: dict[str, Any]) -> None:
-        if self._jsonl_path is None:
-            return
-        if self._jsonl_file is None:
-            self._jsonl_path.parent.mkdir(parents=True, exist_ok=True)
-            self._jsonl_file = self._jsonl_path.open("w")
-        self._jsonl_file.write(json.dumps(record, sort_keys=True) + "\n")
-        self._jsonl_file.flush()
-
-
-def read_session(path: str | Path) -> dict[str, list[dict[str, Any]]]:
-    """Parse a telemetry JSONL session into lists by record kind."""
-    out: dict[str, list[dict[str, Any]]] = {
-        "session": [], "sample": [], "alert": [], "incident": [],
-    }
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        record = json.loads(line)
-        out.setdefault(record.get("kind", "other"), []).append(record)
-    return out
+        if self._log is not None:
+            self._log.close()

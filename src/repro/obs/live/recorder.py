@@ -152,7 +152,6 @@ class FlightRecorder(TelemetrySubscriber):
         bus = self._bus
         if bus is None or bus.trace is None or not self.trace_tail:
             return []
-        events = bus.trace.events[-self.trace_tail:]
         return [
             {
                 "name": e.name,
@@ -163,7 +162,7 @@ class FlightRecorder(TelemetrySubscriber):
                 "end": e.end,
                 "nbytes": e.nbytes,
             }
-            for e in events
+            for e in bus.trace.events_since(-self.trace_tail)
         ]
 
     def _marks_tail(self) -> list[dict[str, Any]]:

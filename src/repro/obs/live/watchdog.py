@@ -83,17 +83,6 @@ class Alert:
             "evidence": dict(sorted(self.evidence.items())),
         }
 
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "Alert":
-        return cls(
-            detector=str(d["detector"]),
-            severity=str(d["severity"]),
-            t=float(d["t"]),
-            window=tuple(d.get("window", (0.0, 0.0))),  # type: ignore[arg-type]
-            message=str(d.get("message", "")),
-            evidence=dict(d.get("evidence", {})),
-        )
-
 
 class _Ewma:
     """Exponentially weighted moving average over an irregular series."""

@@ -11,9 +11,9 @@ drain — and reports the decomposition as a *service level indicator*
   allowed to miss the target.
 * **Error-budget accounting** (:class:`SloTracker`): every finished job
   is classified good/bad against its tenant's target; the tracker keeps
-  exact per-tenant counts, rolling good/bad windows, and an append-only
-  deterministic ``repro-slo/1`` JSONL stream mirroring the service
-  session log.
+  exact per-tenant counts, rolling good/bad windows, and the
+  ``repro-slo/1`` record stream (``tracker.stream``, a
+  :class:`~repro.obs.records.RecordLog` like the service session log).
 * **Multi-window burn-rate detection**: the burn rate is the observed
   bad fraction divided by the allowed bad fraction (``1 - objective``);
   a tenant enters the *burning* state when both a fast (recent jobs)
@@ -40,13 +40,12 @@ monitored run stays byte-identical to an unmonitored one.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-from pathlib import Path
+from dataclasses import asdict, dataclass
 from typing import Any, Iterable, Mapping
 
 from .live.watchdog import Alert, Detector
 from .metrics import ObsError
+from .records import RecordLog
 
 #: Schema tag of the SLO JSONL stream header line.
 SCHEMA = "repro-slo/1"
@@ -58,11 +57,6 @@ SCHEMA = "repro-slo/1"
 LATENCY_BUCKETS: tuple[float, ...] = tuple(
     1e-6 * (10.0 ** (k / 4.0)) for k in range(33)
 )
-
-
-def _round(t: float) -> float:
-    """12-decimal rounding, matching the service session log."""
-    return round(float(t), 12)
 
 
 @dataclass(frozen=True)
@@ -103,13 +97,7 @@ class SloPolicy:
             raise ObsError("SLO burn thresholds must be > 0")
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "tenant": self.tenant, "target": self.target,
-            "objective": self.objective,
-            "fast_window": self.fast_window, "slow_window": self.slow_window,
-            "fast_burn": self.fast_burn, "slow_burn": self.slow_burn,
-            "exit_burn": self.exit_burn,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -130,15 +118,6 @@ class JobSli:
     start_delay: float
     execute: float
     drain: float
-
-    def to_record(self) -> dict[str, Any]:
-        return {
-            "kind": "sli", "job": self.job, "tenant": self.tenant,
-            "t": _round(self.t), "latency": _round(self.latency),
-            "queue_wait": _round(self.queue_wait),
-            "start_delay": _round(self.start_delay),
-            "execute": _round(self.execute), "drain": _round(self.drain),
-        }
 
 
 def _pct(sorted_values: list[float], q: float) -> float | None:
@@ -183,17 +162,18 @@ class SloTracker:
         self._times: dict[str, list[float]] = {}   # finish times, same ring
         self._latencies: dict[str, list[float]] = {}
         self._burning: set[str] = set()
-        header: dict[str, Any] = {"kind": "header", "schema": SCHEMA}
-        header["policies"] = {
-            t: norm[t].to_dict() for t in sorted(norm)
-        }
-        self._lines: list[str] = [json.dumps(header, sort_keys=True)]
+        #: The ``repro-slo/1`` stream: one ``sli`` record per observed job
+        #: and one ``burn`` record per burning-state change.
+        self.stream = RecordLog({
+            "kind": "header", "schema": SCHEMA,
+            "policies": {t: pol.to_dict() for t, pol in norm.items()},
+        })
 
     # -- observation --------------------------------------------------------
 
     def observe(self, sli: JobSli) -> list[Alert]:
         """Account one finished job; returns any newly fired burn alerts."""
-        self._lines.append(json.dumps(sli.to_record(), sort_keys=True))
+        self.stream.emit("sli", **vars(sli))
         self._latencies.setdefault(sli.tenant, []).append(sli.latency)
         pol = self.policies.get(sli.tenant)
         if pol is None:
@@ -266,11 +246,8 @@ class SloTracker:
 
     def _emit_burn(self, tenant: str, state: str, fast: float, slow: float,
                    t: float) -> None:
-        self._lines.append(json.dumps({
-            "kind": "burn", "tenant": tenant, "state": state,
-            "t": _round(t), "burn_fast": _round(fast),
-            "burn_slow": _round(slow),
-        }, sort_keys=True))
+        self.stream.emit("burn", t, tenant=tenant, state=state,
+                         burn_fast=fast, burn_slow=slow)
 
     # -- queries ------------------------------------------------------------
 
@@ -360,29 +337,6 @@ class SloTracker:
             "alerts": [a.to_dict() for a in self.alerts],
         }
 
-    # -- the JSONL stream ---------------------------------------------------
-
-    def to_text(self) -> str:
-        return "\n".join(self._lines) + "\n"
-
-    def to_bytes(self) -> bytes:
-        """Canonical byte form (what determinism tests compare)."""
-        return self.to_text().encode("utf-8")
-
-    def write(self, path: str | Path) -> Path:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(self.to_bytes())
-        return path
-
-
-def read_slo(path: str | Path) -> list[dict[str, Any]]:
-    """Parse a ``repro-slo/1`` JSONL file back into record dicts."""
-    out = []
-    for line in Path(path).read_text().splitlines():
-        if line.strip():
-            out.append(json.loads(line))
-    return out
 
 
 class SloBurnDetector(Detector):

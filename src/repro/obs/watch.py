@@ -9,8 +9,8 @@ refreshing text panels:
   overlap efficiency, cache hit rate, queue depth);
 * watchdog alerts and incident marks, newest last.
 
-Service sessions (the ``repro-service-session/1`` JSONL written by
-:class:`~repro.service.session.ServiceSession`) are rendered too: a
+Service sessions (the ``repro-service-session/1`` stream of
+``Service.session``) are rendered too: a
 per-tenant table — jobs submitted/admitted/finished, backlog, quanta,
 degradations, shed slots, and active SLO burns — replaces or joins the
 samples panel, so one viewer covers single-run telemetry, multi-tenant
@@ -37,6 +37,7 @@ from pathlib import Path
 from typing import Any, TextIO
 
 from ..bench.report import Table
+from .records import parse_records
 
 #: ANSI: clear screen + home — used between --follow redraws.
 _CLEAR = "\x1b[2J\x1b[H"
@@ -50,11 +51,8 @@ _NUMBERS = ("t", "t0", "sample_interval", "h2d_bytes_per_s", "d2h_bytes_per_s",
 _NULLABLE = ("overlap_efficiency", "cache_hit_rate")
 
 
-def _renderable(rec: Any) -> bool:
-    """True when ``rec`` is an object with a string ``kind`` whose fields
-    hold what the panels format them as."""
-    if not isinstance(rec, dict) or not isinstance(rec.get("kind"), str):
-        return False
+def _renderable(rec: dict[str, Any]) -> bool:
+    """True when the record's fields hold what the panels format them as."""
     trigger = rec.get("trigger", {})      # an incident's own fields
     return (isinstance(trigger, dict) and isinstance(rec.get("tenant", ""), str)
             and all(isinstance(r.get(key, 0), (int, float))
@@ -66,25 +64,21 @@ def _renderable(rec: Any) -> bool:
 def parse_session(lines: list[str]) -> dict[str, list[dict[str, Any]]]:
     """Bucket raw JSONL lines by record kind.
 
-    Unparseable lines, and records the panels could not render (no
-    string kind, a field of the wrong type), are counted under
-    ``"invalid"`` but never abort — a live file may end mid-write.
+    Lines that are not records (:func:`~repro.obs.records.parse_records`)
+    and records the panels could not render (a field of the wrong type)
+    are counted under ``"invalid"`` but never abort — a live file may
+    end mid-write.
     """
+    parsed, invalid = parse_records(lines)
     records: dict[str, list[dict[str, Any]]] = {
-        "session": [], "sample": [], "alert": [], "incident": [], "invalid": [],
+        "session": [], "sample": [], "alert": [], "incident": [],
+        "invalid": [{"raw": line[:80]} for _number, line in invalid],
     }
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError:
-            rec = None
-        if not _renderable(rec):
-            records["invalid"].append({"raw": line[:80]})
-            continue
-        records.setdefault(rec["kind"], []).append(rec)
+    for rec in parsed:
+        if _renderable(rec):
+            records.setdefault(rec["kind"], []).append(rec)
+        else:
+            records["invalid"].append({"raw": json.dumps(rec)[:80]})
     return records
 
 

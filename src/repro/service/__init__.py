@@ -13,7 +13,6 @@ from .admission import (
 )
 from .loadgen import Arrival, LoadGenerator, TrafficPattern
 from .service import JobResult, Service, ServiceReport, Tenant, run_solo
-from .session import ServiceSession, read_session
 from .workloads import WORKLOADS, WorkloadSpec, build_workload
 
 __all__ = [
@@ -28,7 +27,6 @@ __all__ = [
     "Service",
     "ServiceError",
     "ServiceReport",
-    "ServiceSession",
     "Tenant",
     "TrafficPattern",
     "WORKLOADS",
@@ -37,6 +35,5 @@ __all__ = [
     "plan_footprint_bytes",
     "plan_slot_bytes",
     "plan_total_slots",
-    "read_session",
     "run_solo",
 ]

@@ -5,8 +5,8 @@ planned field, ``n_slots`` buffers of the *largest* region's ghosted
 extent (mirroring :class:`~repro.core.tile_acc.TileAcc`'s sizing rule).
 The controller compares that against the device budget — current free
 memory minus any injected memory pressure
-(:meth:`~repro.faults.plan.FaultPlan.memory_pressure`) minus a
-configurable headroom — and answers one of:
+(:meth:`~repro.faults.plan.FaultPlan.memory_pressure`) — and answers
+one of:
 
 * ``admit`` — the requested plan fits now;
 * ``degrade`` — the requested plan does not fit but a minimum-slot
@@ -79,13 +79,7 @@ def plan_total_slots(plan: "PlanReport") -> int:
 class AdmissionController:
     """Decides admit/degrade/defer/reject against the live device budget."""
 
-    def __init__(
-        self,
-        runtime: "CudaRuntime",
-        *,
-        headroom_bytes: int = 0,
-        policy: str = "degrade",
-    ) -> None:
+    def __init__(self, runtime: "CudaRuntime", *, policy: str = "degrade") -> None:
         if policy not in POLICIES:
             from ..errors import ServiceError
             raise ServiceError(
@@ -93,7 +87,6 @@ class AdmissionController:
                 reason="bad-policy",
             )
         self.runtime = runtime
-        self.headroom_bytes = int(headroom_bytes)
         self.policy = policy
         self._backpressure_hook = None
 
@@ -117,7 +110,7 @@ class AdmissionController:
     def budget(self, reserved: int = 0) -> int:
         """Admittable bytes right now.
 
-        ``min(free, capacity - reserved) - pressure - headroom``: slot
+        ``min(free, capacity - reserved) - pressure``: slot
         buffers allocate *lazily*, so live free memory overstates what is
         really available while admitted jobs are still warming up their
         pools — the caller passes the summed footprints it has already
@@ -128,12 +121,11 @@ class AdmissionController:
         pressure = 0
         if self.runtime.faults is not None:
             pressure = self.runtime.faults.memory_pressure(self.runtime.clock.now)
-        return min(free, total - reserved) - pressure - self.headroom_bytes
+        return min(free, total - reserved) - pressure
 
     def capacity(self) -> int:
         """Bytes an *empty* device could offer (defer-vs-reject line)."""
-        _free, total = self.runtime.mem_get_info()
-        return total - self.headroom_bytes
+        return self.runtime.mem_get_info()[1]
 
     def pressure_relief_time(self) -> float | None:
         """When the currently active injected memory pressure lifts.

@@ -45,6 +45,7 @@ from ..cuda.runtime import CudaRuntime
 from ..errors import PlanError, ServiceError
 from ..faults.plan import FaultPlan
 from ..faults.retry import RetryPolicy
+from ..obs.records import RecordLog
 from ..obs.slo import LATENCY_BUCKETS, JobSli, SloPolicy, SloTracker
 from ..openacc.runtime import AccRuntime
 from ..plan.executor import program_stepper
@@ -60,7 +61,6 @@ from .admission import (
     plan_slot_bytes,
     plan_total_slots,
 )
-from .session import ServiceSession
 from .workloads import KNOB_DEFAULTS, check_knobs, workload_inputs, workload_program
 
 #: Default total device-slot budget the partitioner apportions.
@@ -118,7 +118,7 @@ class ServiceReport:
     n_engines: int
     utilization: float             # busy / (n_engines * makespan)
     racy_hazards: int
-    session: ServiceSession
+    session: RecordLog
     tenants: dict[str, dict[str, Any]]
 
     def latencies(self, tenant: str | None = None) -> list[float]:
@@ -158,17 +158,12 @@ class Service:
         device_memory_limit: int | None = None,
         check: str | bool | None = "strict",
         telemetry=None,
-        watchdog: bool = True,
         faults: FaultPlan | None = None,
         retry: RetryPolicy | None = None,
-        headroom_bytes: int = 0,
         admission_policy: str = "degrade",
         total_slots: int = DEFAULT_TOTAL_SLOTS,
         scheduler: str = "fair",
-        max_engine_lag: float | None = None,
         dedup: bool = True,
-        per_tenant_concurrency: int | None = 1,
-        session_meta: dict[str, Any] | None = None,
         slo: list[SloPolicy] | dict[str, Any] | None = None,
         backpressure: bool = False,
     ) -> None:
@@ -188,22 +183,17 @@ class Service:
         self.clock = self.runtime.clock
         self.retry = retry
         self.scheduler = scheduler
-        self.max_engine_lag = max_engine_lag
         self.dedup = bool(dedup)
-        # one running job per tenant by default: a tenant's jobs share its
-        # slot quota, so concurrent siblings would split it into thrashing
-        # single-slot pools; queueing them behind each other keeps every
-        # admitted pool at full quota (None = unlimited)
-        self.per_tenant_concurrency = per_tenant_concurrency
-        self.admission = AdmissionController(
-            self.runtime, headroom_bytes=headroom_bytes, policy=admission_policy,
-        )
+        self.admission = AdmissionController(self.runtime, policy=admission_policy)
         self.partitioner = SlotPartitioner(total_slots)
         self.wfq = WeightedFairQueue()
-        self.session = ServiceSession(meta=dict(
-            scheduler=scheduler, policy=admission_policy,
-            total_slots=total_slots, **(session_meta or {}),
-        ))
+        # every scheduling decision at the virtual time it happened: the
+        # same tenants, jobs and seed give a byte-identical log
+        self.session = RecordLog({
+            "kind": "header", "schema": "repro-service-session/1",
+            "scheduler": scheduler, "policy": admission_policy,
+            "total_slots": total_slots,
+        })
         # SLO tracking is pure observation (it never touches the clock or
         # the schedule), so a monitored run stays byte-identical to an
         # unmonitored one; backpressure is the opt-in that changes admission
@@ -218,7 +208,7 @@ class Service:
                     reason="bad-slo",
                 )
             self.admission.set_backpressure_hook(self._slo_backpressured)
-        if telemetry is not None and watchdog:
+        if telemetry is not None:
             from ..obs.live.watchdog import Watchdog, default_detectors
             telemetry.add_subscriber(
                 Watchdog(default_detectors(
@@ -524,7 +514,6 @@ class Service:
         for fname, key in borrowed.items():
             ds = self._datasets[key]
             lib.attach_shared_field(fname, ds["array"], ds["manager"])
-            ds["borrowers"].add(job.id)
             self.metrics.inc("service.dedup_hits")
             self.metrics.inc(
                 "service.dedup_bytes_avoided",
@@ -596,15 +585,16 @@ class Service:
         return footprint <= self.admission.budget(self._reserved())
 
     def _evict_dataset_cache(self) -> bool:
-        """Drop cached read-only datasets nobody is borrowing (memory relief)
-        and retire their streams' checker state."""
+        """Drop cached read-only datasets no running job owns or borrows
+        (memory relief) and retire their streams' checker state."""
         running = {j.id for j in self._running}
+        borrowed = {id(j.lib.manager(f))
+                    for j in self._running for f in j.shared_fields}
         freed = False
         streams = []
         for key in list(self._datasets):
             ds = self._datasets[key]
-            ds["borrowers"] &= running
-            if ds["owner"] in running or ds["borrowers"]:
+            if ds["owner"] in running or id(ds["manager"]) in borrowed:
                 continue
             ds["manager"].release_device_memory()
             streams.extend(ds["manager"].streams)
@@ -625,7 +615,6 @@ class Service:
                 "array": job.lib.field(fname),
                 "manager": job.lib.manager(fname),
                 "owner": job.id,
-                "borrowers": set(),
             }
             job.lib.mark_field_shared(fname)
 
@@ -649,13 +638,12 @@ class Service:
             if self._backlog.get(tenant) != n:
                 # a future-dated job has arrived since the last update
                 self._update_backlog(tenant, n)
-        cap = self.per_tenant_concurrency
         for job in ready:
-            if cap is not None:
-                in_flight = sum(1 for j in self._running if j.tenant == job.tenant)
-                if in_flight >= cap:
-                    self._note_wait(job, "queued")
-                    continue
+            # one running job per tenant: concurrent siblings would split
+            # its slot quota into thrashing single-slot pools
+            if any(j.tenant == job.tenant for j in self._running):
+                self._note_wait(job, "queued")
+                continue
             if self.admission.backpressured(job.tenant):
                 self._note_wait(job, "backpressure")
                 self.metrics.inc("service.slo.backpressure_deferrals")
@@ -702,10 +690,6 @@ class Service:
               max(self._busy_total() - busy0, 0.0))
         if done:
             self._finish(job, run)
-        elif self.max_engine_lag is not None:
-            tail = max(e.tail for e in self._engines)
-            if tail - self.now > self.max_engine_lag:
-                self.clock.advance_to(tail - self.max_engine_lag)
 
     def _finish(self, job: _Job, run) -> None:
         lib = job.lib

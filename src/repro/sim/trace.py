@@ -204,9 +204,8 @@ class Trace:
 
     def events_since(self, start: int) -> list[TraceEvent]:
         """Span events recorded at index ``start`` or later (incremental
-        reads, like :meth:`marks_since`)."""
-        if start < 0:
-            start = 0
+        reads, like :meth:`marks_since`): ``events_since(-n)`` is the
+        last ``n`` events."""
         return self._events[start:]
 
     def filter(self, predicate: Callable[[TraceEvent], bool]) -> list[TraceEvent]:

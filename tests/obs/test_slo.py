@@ -3,8 +3,6 @@
 synthetic SLIs, then the service integration — monitored sessions stay
 byte-identical, backpressure actually defers, blame sums exactly."""
 
-import json
-
 import pytest
 
 from repro.obs import MetricsRegistry
@@ -16,12 +14,12 @@ from repro.obs.critpath import (
 )
 from repro.obs.live.bus import TelemetrySample
 from repro.obs.metrics import ObsError
+from repro.obs.records import read_records
 from repro.obs.slo import (
     JobSli,
     SloBurnDetector,
     SloPolicy,
     SloTracker,
-    read_slo,
 )
 from repro.service import Service
 
@@ -56,7 +54,7 @@ class TestSloPolicy:
 
     def test_to_dict_roundtrips_through_tracker_header(self):
         tr = SloTracker([POLICY])
-        header = json.loads(tr.to_text().splitlines()[0])
+        header = next(tr.stream.events())
         assert header["schema"] == "repro-slo/1"
         assert header["policies"]["t0"] == POLICY.to_dict()
 
@@ -153,8 +151,7 @@ class TestBurnDetection:
         assert tr.release_backpressure() is True
         assert not tr.backpressure_active()
         assert tr.release_backpressure() is False   # idempotent
-        marks = [json.loads(l) for l in tr.to_text().splitlines()
-                 if json.loads(l).get("kind") == "burn"]
+        marks = [r for r in tr.stream.events() if r["kind"] == "burn"]
         assert [m["state"] for m in marks] == ["start", "release"]
         assert tr.metrics.value("service.slo.backpressure_released") == 1.0
 
@@ -167,9 +164,9 @@ class TestJsonlStream:
                 tr.observe(sli(n, latency=2.0 if n < 3 else 0.5))
             return tr
         a, b = build(), build()
-        assert a.to_bytes() == b.to_bytes()
-        path = a.write(tmp_path / "slo.jsonl")
-        records = read_slo(path)
+        assert a.stream.to_bytes() == b.stream.to_bytes()
+        path = a.stream.write(tmp_path / "slo.jsonl")
+        records = read_records(path)
         kinds = [r["kind"] for r in records]
         assert kinds[0] == "header"
         assert kinds.count("sli") == 4
@@ -311,9 +308,8 @@ class TestServiceIntegration:
     def test_sli_stream_is_deterministic_across_reruns(self):
         _, _, tr1 = run_service(slo={"a": 1.0, "b": 1.0})
         _, _, tr2 = run_service(slo={"a": 1.0, "b": 1.0})
-        assert tr1.to_bytes() == tr2.to_bytes()
-        assert len([r for r in json.loads("[" + ",".join(
-            tr1.to_text().splitlines()) + "]") if r.get("kind") == "sli"]) == 3
+        assert tr1.stream.to_bytes() == tr2.stream.to_bytes()
+        assert len([r for r in tr1.stream.events() if r["kind"] == "sli"]) == 3
 
     def test_stamps_feed_tracker_and_tenant_histograms(self):
         report, _, tracker = run_service(slo={"a": 1.0, "b": 1.0})

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.obs.live import (
-    Alert,
     TelemetryBus,
     Watchdog,
     default_detectors,
@@ -45,11 +44,6 @@ class TestSeverities:
     def test_unknown_severity_raises(self):
         with pytest.raises(ValueError):
             severity_at_least("fatal", "warning")
-
-    def test_alert_roundtrip(self):
-        a = Alert(detector="d", severity="warning", t=1.0,
-                  window=(0.0, 1.0), message="m", evidence={"x": 1})
-        assert Alert.from_dict(a.to_dict()) == a
 
 
 class TestOverlapCollapse:

@@ -268,6 +268,31 @@ class TestBoundedCheckerState:
         assert svc.metrics.value("cache.shed") == 1
         assert svc.runtime.checker._streams == {}
 
+    def test_dataset_is_evictable_once_no_running_job_borrows_it(self):
+        # the owner finishes while a borrower still runs: the cached kappa
+        # dataset stays; once the borrower has finished too, it can go
+        svc = Service(total_slots=16)
+        svc.add_tenant("t")
+        svc.add_tenant("u")
+        for tenant, steps, at in (("t", 1, 0.0), ("u", 4, 1e-5)):
+            svc.submit(tenant, workload="coeff-heat", at=at,
+                       workload_kwargs={"shape": (16, 8, 8), "steps": steps, "seed": 0})
+        seen = []
+
+        def on_finish(result, svc):
+            if result.job == "t.j0":
+                seen.append(([j.id for j in svc._running], svc._evict_dataset_cache()))
+
+        svc.on_finish = on_finish
+        report = svc.run()
+        assert report.jobs["u.j1"].shared_fields == ("kappa",)
+        assert seen == [(["u.j1"], False)]
+        assert len(svc._datasets) == 1
+        assert svc._evict_dataset_cache() is True
+        assert svc._datasets == {}
+        assert svc.metrics.value("service.dedup_evicted") == 1
+        svc.close()
+
 
 class TestQueuedJobInputs:
     """A named workload's input arrays are built once per job, when it is

@@ -156,7 +156,7 @@ def _artifacts(svc, bus, jsonl):
         "dag": json.dumps(checker.dag_export(), sort_keys=True),
         "hazards": [h.describe() for h in checker.hazards],
         "session": svc.session.to_bytes(),
-        "slo": svc.slo.to_bytes() if svc.slo is not None else None,
+        "slo": svc.slo.stream.to_bytes() if svc.slo is not None else None,
         "telemetry": jsonl.read_bytes() if bus is not None else None,
         "alerts": [a.to_dict() for a in bus.alerts] if bus is not None else None,
         "jobs": report.jobs if report is not None else None,

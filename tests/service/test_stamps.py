@@ -31,7 +31,7 @@ def run_load(seed, *, closed=False, slo=None):
         gen.replay_open(svc, 6)
     report = svc.run()
     session = svc.session.to_bytes()
-    slo_bytes = svc.slo.to_bytes() if svc.slo is not None else b""
+    slo_bytes = svc.slo.stream.to_bytes() if svc.slo is not None else b""
     svc.close()
     return report, session, slo_bytes
 

@@ -171,3 +171,12 @@ def test_marks_since_a_negative_start_is_the_tail():
         t.mark("m", float(k), k=k)
     assert [m["args"]["k"] for m in t.marks_since(-2)] == [3, 4]
     assert [m["args"]["k"] for m in t.marks_since(-9)] == [0, 1, 2, 3, 4]
+
+
+def test_events_since_a_negative_start_is_the_tail():
+    t = Trace()
+    for k in range(5):
+        t.record(f"e{k}", "kernel", "gpu", float(k), k + 0.5)
+    assert [e.name for e in t.events_since(-2)] == ["e3", "e4"]
+    assert [e.name for e in t.events_since(-9)] == ["e0", "e1", "e2", "e3", "e4"]
+    assert [e.name for e in t.events_since(3)] == ["e3", "e4"]
